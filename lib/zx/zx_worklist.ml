@@ -6,11 +6,11 @@ open Zx_rules
    Instead of re-scanning every vertex after each round of rewrites (the
    Zx_rescan baseline), the engine keeps one dirty-vertex queue per
    rewrite rule.  A graph tracer (Zx_graph.set_tracer) reports every
-   mutated vertex; the engine re-enqueues the touched vertex and its
-   current neighbourhood into all rule queues.  Draining a rule's queue
-   until it is empty is then a fixpoint for that rule: any rewrite fired
-   during the drain re-dirties exactly the region where new matches can
-   appear.
+   mutated vertex; the engine records the touched ids and later
+   re-enqueues each touched vertex and its neighbourhood into all rule
+   queues.  Draining a rule's queue until it is empty is then a fixpoint
+   for that rule: any rewrite fired during the drain re-dirties exactly
+   the region where new matches can appear.
 
    Why per-rule queues: the strategies below (mirroring Zx_rescan's pass
    structure) interleave rule fixpoints — a vertex consumed by the
@@ -20,13 +20,32 @@ open Zx_rules
    matches anywhere", provided the dirtying invariant holds:
 
    - every vertex is seeded into every queue at engine creation, and
-   - every mutation re-enqueues the closed neighbourhood N[v] of each
-     touched vertex, and
+   - after every mutation, the post-mutation closed neighbourhood N[v]
+     of each touched vertex still live is re-enqueued, and
    - every match predicate depends only on the anchor's distance-1
      structure plus vertex kinds (which never change after the one-time
      graph-like conversion).  The pivot-family rules are anchored
      symmetrically (either endpoint of the pair can trigger the match)
      precisely so that this radius-1 invariant suffices.
+
+   Dirtying is batched per rewrite.  The tracer only appends the touched
+   id to a deduplicated buffer (one mark byte per id); {!flush} then
+   enqueues N[v] of every buffered vertex that is still live, reading
+   the graph as the rewrite left it.  The post-rewrite neighbourhood
+   suffices: a vertex that was a neighbour of v during the rewrite but
+   is not afterwards lost that edge, and losing an edge touches it, so
+   it is in the buffer itself.  The enqueued live set is therefore the
+   one that dirtying on every touch would produce; only the order within
+   a queue differs.  The buffer is flushed after every matcher call in
+   {!drain}, after every colour change in the graph-like conversion, at
+   the start of every {!drain} and inside {!pending}; the last two make
+   a mutation made outside a drain visible to the next drain or count.
+
+   Cost: local complementation and pivoting toggle about d^2/2 edges
+   among d neighbours, each toggle touching both endpoints.  Dirtying on
+   every touch would walk the touched vertex's adjacency each time,
+   O(d^3) per rewrite; the flush walks each touched vertex's adjacency
+   once, O(d^2), the cost of the rewrite itself.
 
    The one non-local rule is gadget fusion, whose partner gadget can be
    arbitrarily far away: it is backed by a persistent support-indexed
@@ -77,6 +96,10 @@ type t = {
      touching an already fully-dirty vertex — is a single read.  Grown on
      demand as the graph allocates fresh ids. *)
   mutable dirty_mask : Bytes.t;
+  (* Vertices touched since the last {!flush}, first touch first, and a
+     per-id mark byte that keeps each id in the buffer at most once. *)
+  touched : int Queue.t;
+  mutable touched_mark : Bytes.t;
   (* sorted gadget support -> (leaf, axis); entries may be stale and are
      validated on read. *)
   gadget_index : (int list, int * int) Hashtbl.t;
@@ -104,16 +127,18 @@ let never_stop () = false
 let no_observe _ _ = ()
 let no_pending _ = ()
 
-let ensure_mask t v =
-  let n = Bytes.length t.dirty_mask in
-  if v >= n then begin
+(* [bytes] grown, zero-filled, to cover id [v]. *)
+let cover bytes v =
+  let n = Bytes.length bytes in
+  if v < n then bytes
+  else begin
     let grown = Bytes.make (max (2 * n) (v + 1)) '\000' in
-    Bytes.blit t.dirty_mask 0 grown 0 n;
-    t.dirty_mask <- grown
+    Bytes.blit bytes 0 grown 0 n;
+    grown
   end
 
 let enqueue_all t v =
-  ensure_mask t v;
+  t.dirty_mask <- cover t.dirty_mask v;
   let m = Char.code (Bytes.unsafe_get t.dirty_mask v) in
   if m <> full_mask then begin
     Bytes.unsafe_set t.dirty_mask v '\255';
@@ -126,14 +151,27 @@ let enqueue_all t v =
     if t.pending_total > t.peak_pending then t.peak_pending <- t.pending_total
   end
 
-(* Tracer callback: the touched vertex and its whole current
+(* Tracer callback: record the touched id once; {!flush} dirties its
+   neighbourhood after the rewrite. *)
+let note t v =
+  t.touched_mark <- cover t.touched_mark v;
+  if Bytes.unsafe_get t.touched_mark v = '\000' then begin
+    Bytes.unsafe_set t.touched_mark v '\001';
+    Queue.push v t.touched
+  end
+
+(* Every touched vertex still live and its whole post-rewrite
    neighbourhood become dirty for every rule.  Radius 1 is enough — see
    the invariant in the header comment. *)
-let dirty t v =
-  if Zx_graph.mem t.g v then begin
-    enqueue_all t v;
-    Zx_graph.iter_neighbours t.g v (fun u _ -> enqueue_all t u)
-  end
+let flush t =
+  while not (Queue.is_empty t.touched) do
+    let v = Queue.pop t.touched in
+    Bytes.unsafe_set t.touched_mark v '\000';
+    if Zx_graph.mem t.g v then begin
+      enqueue_all t v;
+      Zx_graph.iter_neighbours t.g v (fun u _ -> enqueue_all t u)
+    end
+  done
 
 let create ?record g =
   let t =
@@ -141,6 +179,8 @@ let create ?record g =
       g;
       queues = Array.init num_rules (fun _ -> Queue.create ());
       dirty_mask = Bytes.make (max 64 (Zx_graph.num_vertices g * 2)) '\000';
+      touched = Queue.create ();
+      touched_mark = Bytes.make (max 64 (Zx_graph.num_vertices g * 2)) '\000';
       gadget_index = Hashtbl.create 64;
       fired = Array.make num_rules 0;
       pending_total = 0;
@@ -150,13 +190,17 @@ let create ?record g =
       sabotage = Atomic.get break_hook;
     }
   in
-  Zx_graph.set_tracer g (Some (dirty t));
+  Zx_graph.set_tracer g (Some (note t));
   List.iter (enqueue_all t) (Zx_graph.vertices g);
   t
 
 let release t = Zx_graph.set_tracer t.g None
 let graph t = t.g
-let pending t = t.pending_total
+
+let pending t =
+  flush t;
+  t.pending_total
+
 let peak_pending t = t.peak_pending
 
 let fired t =
@@ -165,10 +209,10 @@ let fired t =
 (* ------------------------------------------------------------ Matchers *)
 
 (* Each matcher inspects one anchor vertex and fires at most one rewrite
-   there, returning the number fired; re-dirtying via the tracer brings
-   the anchor back if more work remains.  Matchers take the engine (not
-   just the graph) so each fired rewrite can be reported to the
-   certificate sink before it mutates the graph. *)
+   there, returning the number fired; the flush after the call re-dirties
+   the rewritten region, bringing the anchor back if more work remains.
+   Matchers take the engine (not just the graph) so each fired rewrite
+   can be reported to the certificate sink before it mutates the graph. *)
 
 let emit t step = match t.record with Some f -> f step | None -> ()
 
@@ -386,6 +430,7 @@ let drain ?(should_stop = never_stop) ?(observe = no_observe) ?(limit = max_int)
     | Gadget -> try_gadget t
   in
   let bit = 1 lsl qi in
+  flush t;
   (try
      while not (Queue.is_empty q) do
        if should_stop () || !count >= limit then raise Interrupted;
@@ -393,7 +438,10 @@ let drain ?(should_stop = never_stop) ?(observe = no_observe) ?(limit = max_int)
        let m = Char.code (Bytes.unsafe_get t.dirty_mask v) in
        Bytes.unsafe_set t.dirty_mask v (Char.unsafe_chr (m land lnot bit));
        t.pending_total <- t.pending_total - 1;
-       if Zx_graph.mem t.g v then count := !count + try_at v
+       if Zx_graph.mem t.g v then begin
+         count := !count + try_at v;
+         flush t
+       end
      done
    with Interrupted -> ());
   t.fired.(qi) <- t.fired.(qi) + !count;
@@ -431,7 +479,8 @@ let to_gh_once t =
       (fun v ->
         if Zx_graph.mem t.g v && Zx_graph.kind t.g v = Zx_graph.X then begin
           emit t (Zx_step.Color v);
-          to_gh_at t.g v
+          to_gh_at t.g v;
+          flush t
         end)
       (Zx_graph.vertices t.g);
     t.gh <- true

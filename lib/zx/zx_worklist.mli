@@ -2,7 +2,8 @@
 
     The engine keeps one dirty-vertex queue per rewrite rule, fed by a
     {!Zx_graph.set_tracer} subscription: when a rewrite fires, only the
-    touched vertices and their neighbourhoods are re-enqueued, replacing
+    touched vertices and their neighbourhoods are re-enqueued (batched
+    once per rewrite, after it completes), replacing
     the global re-scan fixpoint loops of {!Zx_rescan}.  Draining a
     rule's queue to empty is that rule's fixpoint; the composite
     strategies mirror the rescan engine's pass layering so both engines
@@ -52,7 +53,9 @@ val release : t -> unit
 val graph : t -> Zx_graph.t
 
 (** Total number of queued (vertex, rule) entries — the live worklist
-    length reported to the engine's trace gauge. *)
+    length reported to the engine's trace gauge.  Vertices touched by a
+    mutation made since the last drain are enqueued first, so they are
+    counted. *)
 val pending : t -> int
 
 (** Running maximum of {!pending} over the engine's lifetime. *)
@@ -63,8 +66,9 @@ val fired : t -> (string * int) list
 
 (** [drain t rule] pops the rule's queue until empty (or [should_stop] /
     [limit]), firing the rule at each live anchor; returns the number of
-    rewrites.  Rewrites fired during the drain re-enqueue their dirty
-    neighbourhood and are processed before returning. *)
+    rewrites.  Vertices touched since the last drain are enqueued first.
+    Rewrites fired during the drain re-enqueue their dirty neighbourhood
+    and are processed before returning. *)
 val drain :
   ?should_stop:(unit -> bool) ->
   ?observe:(string -> int -> unit) ->

@@ -192,6 +192,35 @@ let test_optimizer_no_controlled_rotation_cancel () =
   Alcotest.(check bool) "semantics preserved" true
     (Dmatrix.equal_up_to_phase ~tol:1e-8 (Unitary.unitary c) (Unitary.unitary o))
 
+(* Graph-like full_reduce is incomplete: on these generated urf pairs
+   (5 qubits; the optimised circuit is equivalent to its source) it can
+   stop at no information.  It must never refute them; each outcome is
+   pinned so a change of rewrite scheduling shows up here.  The pair
+   40/339308 is decided since worklist dirtying is batched per rewrite,
+   which changes the order candidates are visited in. *)
+let test_stuck_urf_seeds () =
+  let open Equivalence in
+  List.iter
+    (fun (gates, seed, expected) ->
+      let g = Oqec_workloads.Workloads.random_reversible ~seed ~gates 5 in
+      let lowered = Decompose.to_cx_basis ~keep_swaps:false (Decompose.elementary g) in
+      let o = Oqec_compile.Optimize.optimize lowered in
+      let name = Printf.sprintf "urf %d gates seed %d" gates seed in
+      Alcotest.(check bool) (name ^ ": dense ground truth") true (Unitary.equivalent g o);
+      let r = Qcec.check ~strategy:Qcec.Zx g o in
+      Alcotest.(check bool) (name ^ ": never refuted") true (r.outcome <> Not_equivalent);
+      Alcotest.(check string)
+        name (outcome_to_string expected) (outcome_to_string r.outcome))
+    [
+      (40, 225090, No_information);
+      (40, 339308, Equivalent);
+      (40, 347662, No_information);
+      (50, 654882, No_information);
+      (50, 70322, No_information);
+      (60, 149090, No_information);
+      (60, 617383, No_information);
+    ]
+
 let suite =
   [
     Alcotest.test_case "controlled rotation inversion" `Quick
@@ -208,4 +237,5 @@ let suite =
     Alcotest.test_case "gadget pivot terminates" `Quick test_gadget_pivot_termination;
     Alcotest.test_case "layout comment robustness" `Quick test_layout_comment_robustness;
     Alcotest.test_case "phase anchoring in equal_up_to_phase" `Quick test_phase_anchor;
+    Alcotest.test_case "stuck urf seeds never refuted" `Quick test_stuck_urf_seeds;
   ]

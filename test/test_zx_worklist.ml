@@ -2,7 +2,7 @@
    engines must stay verdict-for-verdict interchangeable (the bench's
    zx-smoke asserts the same at miter scale), plus unit tests for the
    worklist mechanics themselves (seeding, re-enqueue on neighbour
-   change, termination, cancellation). *)
+   change, batched dirtying, termination, cancellation). *)
 
 open Oqec_base
 open Oqec_circuit
@@ -120,6 +120,92 @@ let test_reenqueue_on_neighbour_change () =
         ((1 + Zx_graph.degree d v) * num_rules)
         (Zx_worklist.pending t))
 
+let drain_to_empty t =
+  let rounds = ref 0 in
+  while Zx_worklist.pending t > 0 && !rounds < 100 do
+    incr rounds;
+    List.iter (fun r -> ignore (Zx_worklist.drain t r)) Zx_worklist.all_rules
+  done;
+  Alcotest.(check int) "all queues empty" 0 (Zx_worklist.pending t)
+
+(* A mutation made between drains is fired by the next drain itself, not
+   only counted by [pending]: drain flushes the touched ids first. *)
+let test_drain_sees_outside_mutation () =
+  let d = Zx_circuit.of_circuit (Circuit.cx (Circuit.h (Circuit.create 2) 0) 0 1) in
+  let t = Zx_worklist.create d in
+  Fun.protect
+    ~finally:(fun () -> Zx_worklist.release t)
+    (fun () ->
+      drain_to_empty t;
+      let is_z v = Zx_graph.kind d v = Zx_graph.Z in
+      let s =
+        match List.find_opt is_z (Zx_graph.vertices d) with
+        | Some s -> s
+        | None -> Alcotest.fail "no surviving Z spider"
+      in
+      let w = Zx_graph.add_vertex d Zx_graph.Z ~phase:Phase.zero in
+      Zx_graph.add_edge d s w Zx_graph.Simple;
+      Alcotest.(check int)
+        "fusion fires on the new wire" 1
+        (Zx_worklist.drain t Zx_worklist.Fusion))
+
+(* Batched dirtying enqueues exactly the post-rewrite closed
+   neighbourhoods of the touched vertices.  A local complementation at a
+   degree-4 centre v touches v's former neighbours (phase change, edge
+   toggles, the removed v); their union of N[w], read off the final
+   graph, must be what every queue holds afterwards.  A far wire that the
+   rewrite does not reach must stay clean. *)
+let test_lcomp_dirty_set () =
+  let g = Zx_graph.create () in
+  let wire q ph =
+    let i = Zx_graph.add_vertex g (Zx_graph.B_in q) ~phase:Phase.zero in
+    let o = Zx_graph.add_vertex g (Zx_graph.B_out q) ~phase:Phase.zero in
+    let w = Zx_graph.add_vertex g Zx_graph.Z ~phase:ph in
+    Zx_graph.add_edge g i w Zx_graph.Simple;
+    Zx_graph.add_edge g w o Zx_graph.Simple;
+    w
+  in
+  let ws = List.init 4 (fun q -> wire q Phase.quarter_pi) in
+  ignore (wire 4 Phase.quarter_pi);
+  (* The centre starts non-Clifford, so nothing matches until its phase
+     is set to pi/2 below. *)
+  let v = Zx_graph.add_vertex g Zx_graph.Z ~phase:Phase.quarter_pi in
+  List.iter (fun w -> Zx_graph.add_edge g v w Zx_graph.Had) ws;
+  Zx_graph.add_edge g (List.nth ws 0) (List.nth ws 1) Zx_graph.Had;
+  let t = Zx_worklist.create g in
+  Fun.protect
+    ~finally:(fun () -> Zx_worklist.release t)
+    (fun () ->
+      drain_to_empty t;
+      Alcotest.(check bool)
+        "nothing fires on the inert graph" true
+        (List.for_all (fun (_, n) -> n = 0) (Zx_worklist.fired t));
+      Zx_graph.set_phase g v Phase.half_pi;
+      List.iter
+        (fun r ->
+          if r <> Zx_worklist.Lcomp then
+            Alcotest.(check int) "only lcomp matches" 0 (Zx_worklist.drain t r))
+        Zx_worklist.all_rules;
+      Alcotest.(check int)
+        "lcomp fires once" 1
+        (Zx_worklist.drain ~limit:1 t Zx_worklist.Lcomp);
+      Alcotest.(check bool) "centre removed" false (Zx_graph.mem g v);
+      let union = Hashtbl.create 16 in
+      List.iter
+        (fun w ->
+          Hashtbl.replace union w ();
+          List.iter (fun u -> Hashtbl.replace union u ()) (Zx_graph.neighbour_ids g w))
+        ws;
+      let size = Hashtbl.length union in
+      Alcotest.(check int) "four spiders and their eight boundaries" 12 size;
+      Alcotest.(check int)
+        "every queue holds the union" (num_rules * size) (Zx_worklist.pending t);
+      Alcotest.(check int) "no further lcomp" 0 (Zx_worklist.drain t Zx_worklist.Lcomp);
+      Alcotest.(check int)
+        "the other queues still hold the union"
+        ((num_rules - 1) * size)
+        (Zx_worklist.pending t))
+
 (* The tracer must stop feeding the queues after release. *)
 let test_release_stops_tracking () =
   let d = Zx_circuit.of_circuit (Circuit.h (Circuit.create 1) 0) in
@@ -181,6 +267,10 @@ let suite =
     Alcotest.test_case "worklist: seeding fills every queue" `Quick test_seeding;
     Alcotest.test_case "worklist: neighbour change re-enqueues N[v]" `Quick
       test_reenqueue_on_neighbour_change;
+    Alcotest.test_case "worklist: drain fires a mutation made between drains" `Quick
+      test_drain_sees_outside_mutation;
+    Alcotest.test_case "worklist: lcomp dirties the post-rewrite N[w] union" `Quick
+      test_lcomp_dirty_set;
     Alcotest.test_case "worklist: release stops tracking" `Quick
       test_release_stops_tracking;
     Alcotest.test_case "worklist: should_stop cancels full_reduce" `Quick
