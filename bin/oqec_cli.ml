@@ -145,17 +145,6 @@ let check_cmd =
             "Comma-separated checkers to race with --strategy portfolio: any of dd, zx, \
              sim, stab (default dd,zx,sim).")
   in
-  let dd_core =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dd-core" ] ~docv:"CORE"
-          ~doc:
-            "Decision-diagram package representation: $(b,boxed) (pointer-based \
-             records, the differential baseline; default) or $(b,arena) \
-             (struct-of-arrays node store with packed integer edges).  Verdicts and \
-             counterexamples are independent of the core.")
-  in
   let dd_scheme =
     Arg.(
       value
@@ -221,7 +210,7 @@ let check_cmd =
              reproducible from the printed seed alone.")
   in
   let run file1 file2 strategy timeout tol sim_runs seed jobs approx gc_threshold dd_stats
-      json verdict_only trace checkers dd_core dd_scheme stream certify instantiations
+      json verdict_only trace checkers dd_scheme stream certify instantiations
       param_seed =
     set_engine_break_hook ();
     let scheme =
@@ -236,16 +225,6 @@ let check_cmd =
     in
     let table =
       match scheme with Dd_scheme.Auto -> Some (Dd_dispatch.default_table ()) | _ -> None
-    in
-    let dd_core =
-      match dd_core with
-      | None -> None
-      | Some s -> (
-          match Oqec_dd.Dd_core.kind_of_string s with
-          | Some k -> Some k
-          | None ->
-              Printf.eprintf "error: --dd-core must be boxed or arena (got %S)\n" s;
-              exit 3)
     in
     (match gc_threshold with
     | Some t when t < 0 ->
@@ -295,8 +274,7 @@ let check_cmd =
       let deadline = Option.map (fun t -> Mclock.now () +. t) timeout in
       let report =
         try
-          Stream_checker.check ?core:dd_core ~scheme ?tol ?gc_threshold ?deadline ?sink
-            file1 file2
+          Stream_checker.check ~scheme ?tol ?gc_threshold ?deadline ?sink file1 file2
         with
         | Oqec_qasm.Qasm_stream.Unsupported msg ->
             Printf.eprintf "error: %s\n" msg;
@@ -335,14 +313,13 @@ let check_cmd =
       | Some threshold ->
           let deadline = Option.map (fun t -> Mclock.now () +. t) timeout in
           let r, _fid =
-            Dd_checker.check_approximate ?core:dd_core ?tol ?gc_threshold:gc_threshold
-              ?deadline ?sink ~threshold g g'
+            Dd_checker.check_approximate ?tol ?gc_threshold ?deadline ?sink ~threshold g
+              g'
           in
           r
       | None ->
           Qcec.check ~strategy ?timeout ?tol ?gc_threshold:gc_threshold ~sim_runs ~seed
-            ?jobs ~scheme ?table ?checkers ?dd_core ?sink ?instantiations ?param_seed g
-            g'
+            ?jobs ~scheme ?table ?checkers ?sink ?instantiations ?param_seed g g'
     in
     (match (trace, sink) with
     | Some path, Some s ->
@@ -364,16 +341,11 @@ let check_cmd =
     | None, _ -> ()
     | Some _, (Equivalence.No_information | Equivalence.Timed_out) ->
         Printf.eprintf "note: inconclusive verdict, no certificate written\n"
-    | Some path, outcome -> (
+    | Some path, _ -> (
         (* Checkers attach certificates opportunistically; a bare
            verdict (DD or stabilizer win, for instance) is certified
            from scratch. *)
-        let cert =
-          match report.Equivalence.certificate with
-          | Some c -> Ok c
-          | None -> Certify.certify outcome g g'
-        in
-        match cert with
+        match Certify.of_report report g g' with
         | Ok c ->
             let oc = open_out path in
             output_string oc (Oqec_cert.Cert.serialize c);
@@ -393,7 +365,7 @@ let check_cmd =
     Term.(
       const run $ file1 $ file2 $ strategy $ timeout $ tol $ sim_runs $ seed $ jobs
       $ approx $ gc_threshold $ dd_stats $ json $ verdict_only $ trace $ checkers
-      $ dd_core $ dd_scheme $ stream $ certify $ instantiations $ param_seed)
+      $ dd_scheme $ stream $ certify $ instantiations $ param_seed)
 
 (* ------------------------------------------------------- verify-cert cmd *)
 
@@ -630,18 +602,9 @@ let fuzz_cmd =
       & info [ "checkers" ] ~docv:"LIST"
           ~doc:"Comma-separated subset of the oracle's checkers: dd, zx, sim, stab.")
   in
-  let dd_core =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dd-core" ] ~docv:"CORE"
-          ~doc:
-            "DD package representation for the dd/sim checkers: boxed (default) or \
-             arena.")
-  in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit run statistics as one JSON object.") in
   let run profile runs max_qubits max_gates seed shrink corpus only timeout checkers
-      dd_core json =
+      json =
     let profile =
       match Fuzz_gen.profile_of_string profile with
       | Some p -> p
@@ -672,16 +635,6 @@ let fuzz_cmd =
             names;
           Some names
     in
-    let dd_core =
-      match dd_core with
-      | None -> None
-      | Some s -> (
-          match Oqec_dd.Dd_core.kind_of_string s with
-          | Some k -> Some k
-          | None ->
-              Printf.eprintf "error: --dd-core must be boxed or arena (got %S)\n" s;
-              exit 3)
-    in
     (* Hidden test hook: deliberately corrupt one checker's verdicts so the
        oracle/shrink/corpus path can be exercised end to end. *)
     (match Sys.getenv_opt "OQEC_FUZZ_BREAK" with
@@ -701,7 +654,6 @@ let fuzz_cmd =
         only;
         timeout;
         checkers;
-        dd_core;
       }
     in
     let log = if json then fun line -> prerr_endline line else print_endline in
@@ -722,7 +674,7 @@ let fuzz_cmd =
           persisted as a regression.")
     Term.(
       const run $ profile $ runs $ max_qubits $ max_gates $ seed $ shrink $ corpus $ only
-      $ timeout $ checkers $ dd_core $ json)
+      $ timeout $ checkers $ json)
 
 (* ------------------------------------------------------------ serve cmd *)
 

@@ -2,19 +2,20 @@
 
 open Oqec_base
 
-(** [to_dmatrix e ~n] expands a matrix DD rooted at level [n-1] into the
-    dense [2^n x 2^n] matrix it represents (exponential; tests and figure
-    demos only). *)
-val to_dmatrix : Dd.edge -> n:int -> Dmatrix.t
+(** [to_dmatrix pkg e ~n] expands a matrix DD rooted at level [n-1] into
+    the dense [2^n x 2^n] matrix it represents (exponential; the dense
+    oracle of tests and benchmarks, and figure demos). *)
+val to_dmatrix : Dd.pkg -> Dd.edge -> n:int -> Dmatrix.t
 
-(** [to_vector e ~n] expands a vector DD into its [2^n] amplitudes. *)
-val to_vector : Dd.edge -> n:int -> Cx.t array
+(** [to_vector pkg e ~n] expands a vector DD into its [2^n] amplitudes. *)
+val to_vector : Dd.pkg -> Dd.edge -> n:int -> Cx.t array
 
-(** [dump ppf e ~n] prints the diagram structure level by level: node ids,
-    edge weights and targets — the textual analogue of Fig. 3. *)
-val dump : Format.formatter -> Dd.edge -> n:int -> unit
+(** [dump pkg ppf e] prints the diagram structure node by node: node
+    ids, levels, edge weights and targets — the textual analogue of
+    Fig. 3. *)
+val dump : Dd.pkg -> Format.formatter -> Dd.edge -> unit
 
-(** [to_dot e ~n] renders the diagram in Graphviz DOT syntax (edge
+(** [to_dot pkg e] renders the diagram in Graphviz DOT syntax (edge
     thickness encodes magnitude, colour encodes the weight's phase,
     following the visualisation of ref. [37]). *)
-val to_dot : Dd.edge -> n:int -> string
+val to_dot : Dd.pkg -> Dd.edge -> string

@@ -1,18 +1,17 @@
 (** Resident DD store for the checker service.
 
-    A session owns at most one boxed and one arena package, created
-    lazily and persisting across requests, so a warm check finds
-    previously interned gate/sub-circuit DDs still canonical in the
-    unique table and memoised products still live in the compute
-    caches.  An {e epoch} is one request: {!end_epoch} bumps the epoch
-    counter and, once the live node count crosses the high-water mark,
+    A session owns one package, created on first use and persisting
+    across requests, so a warm check finds previously interned
+    gate/sub-circuit DDs still canonical in the unique table and
+    memoised products still live in the compute caches.  An {e epoch}
+    is one request: {!end_epoch} bumps the epoch counter and, once the
+    live node count crosses the high-water mark,
     drops every root finished requests left pinned ({!Dd.clear_roots})
     and collects — bounding residency without giving up cross-request
     reuse below the mark.
 
-    Sessions are single-owner: the packages are not thread-safe, so
-    each worker domain gets its own session.  Intra-check sharing
-    between portfolio racers stays on {!Dd_arena.create_shared}. *)
+    Sessions are single-owner: packages are not thread-safe, so each
+    worker domain gets its own session. *)
 
 type t
 
@@ -23,13 +22,11 @@ val default_high_water : int
     package). *)
 val create : ?tol:float -> ?gc_threshold:int -> ?high_water:int -> unit -> t
 
-(** The session's boxed package, created on first use. *)
-val boxed : t -> Dd.pkg
+(** The session's package, created on first use (so a session costs no
+    arena until its first check). *)
+val pkg : t -> Dd.pkg
 
-(** The session's arena package, created on first use. *)
-val arena : t -> Dd_arena.pkg
-
-(** Live nodes across both resident packages. *)
+(** Live nodes in the resident package (0 before first use). *)
 val live : t -> int
 
 (** Close the current epoch (one request): past the high-water mark,

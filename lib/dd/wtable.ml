@@ -1,13 +1,14 @@
 open Oqec_base
 
-(* Dense-id complex-weight interning for the arena DD core.
+(* Dense-id complex-weight interning for the DD package.
 
-   The boxed package interns weights by value ({!Ctable} maps each float
-   onto a canonical representative within the tolerance); the arena packs
-   edges into immediate integers, so weights must additionally collapse
-   onto small dense ids.  Every weight is first canonicalised through the
-   shared {!Ctable} (which also folds [-0.] onto [+0.]), then the
-   canonical (re, im) pair is mapped onto an id.
+   The package packs edges into immediate integers, so weights must
+   collapse onto small dense ids.  Every weight is first canonicalised
+   component by component: each real is assigned to the bucket
+   [round (v / tol)], and on lookup the neighbouring buckets are probed
+   too, so any two values within [tol] of a stored representative
+   collapse onto it ([-0.] is folded onto [+0.] first).  The canonical
+   (re, im) pair is then mapped onto an id.
 
    The id lookup is on the hot path of every edge construction, so the
    main index is an open-addressed int-array table (no allocation per
@@ -23,7 +24,8 @@ open Oqec_base
    identity edges are compile-time constants. *)
 
 type t = {
-  ctab : Ctable.t;
+  tol : float;
+  reals : (int, float) Hashtbl.t;  (* bucket -> canonical representative *)
   mutable slots : int array;  (* open addressing: id + 1, 0 = empty *)
   mutable smask : int;
   nan_ids : (int64 * int64, int) Hashtbl.t;  (* NaN-component slow path *)
@@ -37,11 +39,43 @@ type t = {
 let zero_id = 0
 let one_id = 1
 
-(* Canonicalise [-0.] at the bit level: Ctable's value-level
-   normalisation covers components it interns, but non-finite weights
-   pass through uninterned and an explicit fold keeps [-0.] from
-   splitting off a second id for zero. *)
+(* Canonicalise [-0.] at the bit level, so that float equality and the
+   bit-pattern hash agree. *)
 let norm v = if v = 0.0 then 0.0 else v
+
+(* Bucket index for [v], or [None] when no sane bucket exists:
+   [int_of_float] on NaN/infinities or on quotients beyond the native-int
+   range is undefined behaviour and would produce garbage keys, silently
+   aliasing unrelated values. *)
+let bucket t v =
+  let q = Float.round (v /. t.tol) in
+  if Float.is_finite q && Float.abs q < 1e18 then Some (int_of_float q) else None
+
+(* The canonical representative of one real component: an existing
+   stored value within [tol], or [v] itself after storing it.
+   Non-finite components and magnitudes beyond the bucket range pass
+   through uninterned. *)
+let intern_real t v =
+  let v = norm v in
+  match bucket t v with
+  | None -> v
+  | Some b -> (
+      let probe k =
+        match Hashtbl.find_opt t.reals k with
+        | Some r when Float.abs (r -. v) <= t.tol -> Some r
+        | Some _ | None -> None
+      in
+      match probe b with
+      | Some r -> r
+      | None -> (
+          match probe (b - 1) with
+          | Some r -> r
+          | None -> (
+              match probe (b + 1) with
+              | Some r -> r
+              | None ->
+                  Hashtbl.replace t.reals b v;
+                  v)))
 
 let hash_weight re im =
   let h =
@@ -52,9 +86,11 @@ let hash_weight re im =
   (h lxor (h lsr 29)) land max_int
 
 let create ?(tol = Cx.default_tolerance) () =
+  if tol <= 0.0 then invalid_arg "Wtable.create: tolerance must be positive";
   let t =
     {
-      ctab = Ctable.create ~tol;
+      tol;
+      reals = Hashtbl.create 4096;
       slots = Array.make 4096 0;
       smask = 4095;
       nan_ids = Hashtbl.create 16;
@@ -78,10 +114,14 @@ let create ?(tol = Cx.default_tolerance) () =
   in
   pin 0.0 0.0;
   pin 1.0 0.0;
+  (* Seed the common magnitudes so they become the representatives of
+     their buckets whatever noisy value arrives first. *)
+  let s = 1.0 /. sqrt 2.0 in
+  List.iter (fun v -> ignore (intern_real t v)) [ 0.0; 1.0; -1.0; 0.5; -0.5; s; -.s ];
   t
 
 let set_shared t = t.locked <- true
-let tolerance t = Ctable.tolerance t.ctab
+let tolerance t = t.tol
 let size t = t.n
 let re t id = t.re.(id)
 let im t id = t.im.(id)
@@ -136,8 +176,7 @@ let intern_nan t rv iv =
       id
 
 let intern_uncontended t (z : Cx.t) =
-  let z = Ctable.intern t.ctab z in
-  let rv = norm z.Cx.re and iv = norm z.Cx.im in
+  let rv = intern_real t z.Cx.re and iv = intern_real t z.Cx.im in
   if Float.is_nan rv || Float.is_nan iv then intern_nan t rv iv
   else begin
     let h = ref (hash_weight rv iv land t.smask) in

@@ -1,9 +1,15 @@
-(** Dense-id complex-weight interning for the arena DD core.
+(** Dense-id complex-weight interning for the DD package.
 
-    Weights are canonicalised through a {!Ctable} (tolerance bucketing,
-    [-0.] folded onto [+0.]) and then assigned small dense ids keyed by
-    the canonical IEEE bit patterns, so that a whole edge — node id plus
-    weight id — packs into one immediate integer.  Ids {!zero_id} and
+    The package relies on shared sub-diagrams, and two sub-matrices can
+    only be shared if their edge weights compare equal.  Weights are
+    therefore canonicalised per real component (tolerance bucketing:
+    any value within [tol] of a stored representative snaps onto it;
+    [-0.] is folded onto [+0.]; non-finite components and magnitudes
+    beyond the bucket range pass through uninterned) and then assigned
+    small dense ids keyed by the canonical IEEE bit patterns, so that a
+    whole edge — node id plus weight id — packs into one immediate
+    integer.  Section 6.2 of the paper discusses how circuits with very
+    small rotation angles defeat this mechanism.  Ids {!zero_id} and
     {!one_id} are pinned at creation. *)
 
 open Oqec_base

@@ -14,7 +14,6 @@ type config = {
   only : int option;
   timeout : float;
   checkers : string list option;
-  dd_core : Oqec_dd.Dd_core.kind option;
 }
 
 let default_config =
@@ -29,7 +28,6 @@ let default_config =
     only = None;
     timeout = 10.0;
     checkers = None;
-    dd_core = None;
   }
 
 type case = {
@@ -172,9 +170,8 @@ let stimulus_still_refutes ~seed ~stimulus g g' =
 let run ?(log = fun _ -> ()) config =
   let t0 = Unix.gettimeofday () in
   let oracle ~expected g g' =
-    Fuzz_oracle.run ~timeout:config.timeout ?checkers:config.checkers
-      ?dd_core:config.dd_core ~seed:config.seed ~expected
-      g g'
+    Fuzz_oracle.run ~timeout:config.timeout ?checkers:config.checkers ~seed:config.seed
+      ~expected g g'
   in
   let violations = ref [] in
   let emit v = violations := v :: !violations in

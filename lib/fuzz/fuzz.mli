@@ -24,7 +24,6 @@ type config = {
   only : int option;  (** replay a single case index *)
   timeout : float;  (** per-checker timeout in seconds *)
   checkers : string list option;  (** restrict the oracle's checker set *)
-  dd_core : Oqec_dd.Dd_core.kind option;  (** DD package representation *)
 }
 
 val default_config : config

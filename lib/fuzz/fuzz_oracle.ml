@@ -181,10 +181,10 @@ let find_violation ~expected ~truth verdicts =
 let symbolic_probes = 3
 let probe_seed = 105
 
-let run_symbolic ~timeout ?dd_core ~seed ~expected g g' =
+let run_symbolic ~timeout ~seed ~expected g g' =
   let t0 = Mclock.now () in
   let report =
-    match Param_checker.check ~timeout ?dd_core ~seed g g' with
+    match Param_checker.check ~timeout ~seed g g' with
     | r -> r
     | exception Equivalence.Cancelled ->
         {
@@ -296,15 +296,15 @@ let run_symbolic ~timeout ?dd_core ~seed ~expected g g' =
   in
   { verdicts = [ verdict ]; truth; violation }
 
-let run ?(timeout = 10.0) ?checkers ?dd_core ?(seed = 1) ~expected g g' =
+let run ?(timeout = 10.0) ?checkers ?(seed = 1) ~expected g g' =
   if Circuit.is_symbolic g || Circuit.is_symbolic g' then
-    run_symbolic ~timeout ?dd_core ~seed ~expected g g'
+    run_symbolic ~timeout ~seed ~expected g g'
   else
   let selected =
     match checkers with
-    | None -> Qcec.oracle_checkers ?dd_core ()
+    | None -> Qcec.oracle_checkers ()
     | Some names ->
-        List.filter (fun (n, _, _) -> List.mem n names) (Qcec.oracle_checkers ?dd_core ())
+        List.filter (fun (n, _, _) -> List.mem n names) (Qcec.oracle_checkers ())
   in
   let sabotage = Atomic.get break_hook in
   let verdicts =

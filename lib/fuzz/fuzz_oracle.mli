@@ -71,13 +71,10 @@ val break_hook : string option Atomic.t
 (** [run ?timeout ?checkers ?seed ~expected g g'] runs every (selected)
     checker under its own engine context.  [timeout] is per checker
     (default 10 s; timeouts are never violations); [checkers] restricts
-    the set by name; [dd_core] selects the DD package representation
-    for the DD-based checkers (default boxed); [seed] feeds the
-    simulation stimuli. *)
+    the set by name; [seed] feeds the simulation stimuli. *)
 val run :
   ?timeout:float ->
   ?checkers:string list ->
-  ?dd_core:Oqec_dd.Dd_core.kind ->
   ?seed:int ->
   expected:expected ->
   Circuit.t ->

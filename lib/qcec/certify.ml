@@ -1,4 +1,5 @@
 open Oqec_base
+open Oqec_circuit
 open Oqec_zx
 open Oqec_cert
 
@@ -34,3 +35,16 @@ let certify outcome g g' =
              fidelity too close to 1)")
   | Equivalence.No_information | Equivalence.Timed_out ->
       Error "inconclusive outcomes cannot be certified"
+
+(* An instantiated refutation holds for one assignment only: the
+   witness search runs on the circuits instantiated at the report's
+   refuting assignment, and the witness carries that concrete pair. *)
+let of_report (r : Equivalence.report) g g' =
+  match r.Equivalence.certificate with
+  | Some c -> Ok c
+  | None -> (
+      match r.Equivalence.symbolic with
+      | Some (Equivalence.Instantiated { refuting = Some asg; _ }) ->
+          certify r.Equivalence.outcome (Circuit.instantiate asg g)
+            (Circuit.instantiate asg g')
+      | Some _ | None -> certify r.Equivalence.outcome g g')

@@ -16,3 +16,10 @@ open Oqec_circuit
     identity, no refuting stimulus found, circuits too wide). *)
 val certify :
   Equivalence.outcome -> Circuit.t -> Circuit.t -> (Oqec_cert.Cert.t, string) result
+
+(** [of_report r a b] is the certificate for report [r] on the pair:
+    the one a checker attached, or else {!certify}'s.  A refutation
+    found by instantiating symbolic parameters is witnessed on the pair
+    instantiated at the report's refuting assignment. *)
+val of_report :
+  Equivalence.report -> Circuit.t -> Circuit.t -> (Oqec_cert.Cert.t, string) result

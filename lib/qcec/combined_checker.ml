@@ -7,7 +7,7 @@ open Oqec_base
    slice: on simulation-hostile circuits (QFT-like output states have
    exponential vector DDs) the parallel original would simply cancel the
    simulations, so blocking on them here would distort the comparison. *)
-let checker ?core ?session ?scheme ?table () : Engine.checker =
+let checker ?session ?scheme ?table () : Engine.checker =
   (module struct
     let name = "combined"
 
@@ -22,10 +22,7 @@ let checker ?core ?session ?scheme ?table () : Engine.checker =
       let sctx =
         Engine.Ctx.with_sim_runs (Engine.Ctx.with_deadline ctx screen_deadline) screen_runs
       in
-      let module Sim =
-        (val Sim_checker.checker_core (Option.value core ~default:Oqec_dd.Dd_core.Boxed)
-            : Engine.CHECKER)
-      in
+      let module Sim = (val Sim_checker.checker : Engine.CHECKER) in
       let screen =
         (* A screen that exhausts its slice is simply inconclusive; only
            the overall deadline (enforced by [ctx]'s own guard in the DD
@@ -41,7 +38,7 @@ let checker ?core ?session ?scheme ?table () : Engine.checker =
             match screen with Some v -> v.Engine.simulations | None -> 0
           in
           let module Dd =
-            (val Dd_checker.scheme_checker ?core ?session ?scheme ?table ()
+            (val Dd_checker.scheme_checker ?session ?scheme ?table ()
                 : Engine.CHECKER)
           in
           let v = Dd.run ctx g g' in

@@ -4,15 +4,13 @@
     screen short-circuits; otherwise the DD verdict is returned with the
     screen's simulation count merged in. *)
 
-(** [checker ?core ?session ?scheme ?table ()] is the ["combined"]
-    checker; [scheme] selects the DD application scheme (default
-    proportional; [Auto] resolves through [table]) and [core] the DD
-    package representation (both phases use the same core).  [session]
+(** [checker ?session ?scheme ?table ()] is the ["combined"] checker;
+    [scheme] selects the DD application scheme (default proportional;
+    [Auto] resolves through [table]).  [session]
     runs the DD phase against the resident store (see
     {!Dd_checker.scheme_checker}); the simulation screen keeps its own
     fresh vector package either way. *)
 val checker :
-  ?core:Oqec_dd.Dd_core.kind ->
   ?session:Oqec_dd.Dd_session.t ->
   ?scheme:Dd_scheme.t ->
   ?table:Dd_dispatch.table ->

@@ -6,187 +6,138 @@ open Oqec_dd
    checker is a driver that walks a miter under an
    {!Dd_scheme.APPLICATION_SCHEME}, so the hardwired alternating loop of
    the paper becomes one policy among several (and [auto] picks one per
-   instance through {!Dd_dispatch}).
+   instance through {!Dd_dispatch}). *)
 
-   The checking logic is generic over the DD core (boxed records vs the
-   struct-of-arrays arena); it is instantiated statically for both cores
-   below and dispatched on {!Dd_core.kind}. *)
-module Of (C : Dd_core.S) = struct
-  module M = Miter.Make (C)
+let verdict_of ctx m =
+  let outcome = Miter.conclude m in
+  let st = Miter.package_counters ctx (Miter.package m) in
+  {
+    Engine.outcome;
+    peak_size = Dd.allocated (Miter.package m);
+    final_size = Miter.live_size m;
+    simulations = 0;
+    note = "";
+    dd = Some st;
+    certificate = None;
+  }
 
-  (* Gate application is the package's collection safe point; it doubles
-     as the engine's counting and deadline/cancellation polling point. *)
-  let hook_pkg ctx pkg =
-    C.on_safe_point pkg (fun () ->
-        Engine.Ctx.incr ctx Engine.Dd_gate_applied;
-        Engine.Ctx.check ctx)
+(* Fold both circuits into the miter under the scheme's side policy.
+   The scheme is only consulted while both sides have gates; a lone
+   surviving side is forced.  Deadline/cancellation polling happens
+   inside the applications: gate application is the package's GC safe
+   point and runs the engine hook. *)
+let drive m (module S : Dd_scheme.APPLICATION_SCHEME) =
+  while not (Miter.exhausted m) do
+    let side =
+      if Miter.left_remaining m = 0 then Dd_scheme.Right
+      else if Miter.right_remaining m = 0 then Dd_scheme.Left
+      else S.choose (Miter.probe m)
+    in
+    Miter.apply m side
+  done
 
-  (* Fold the package's own accounting into the engine counters once the
-     run is over (these are maintained inside the package, not
-     observable per event from out here). *)
-  let package_counters ctx pkg =
-    let st = C.stats pkg in
-    Engine.Ctx.set ctx Engine.Dd_gc_run st.Dd.gc_runs;
-    Engine.Ctx.set ctx Engine.Dd_cache_hit (Dd.cache_hits st);
-    (match st.Dd.arena with
-    | None -> ()
-    | Some a ->
-        Engine.Ctx.gauge ctx "dd.arena_occupancy" a.Dd.a_occupancy;
-        Engine.Ctx.set ctx Engine.Dd_arena_compaction a.Dd.a_compactions;
-        Engine.Ctx.set ctx Engine.Dd_shard_contention a.Dd.a_contended);
-    st
+(* [Auto] resolves through the dispatch table per instance; the
+   resolved scheme is recorded in the ["dd.scheme.<name>"] counter so
+   [--json] reports show what actually ran. *)
+let resolve ?table scheme g g' =
+  match scheme with Dd_scheme.Auto -> Dd_dispatch.choose ?table g g' | s -> s
 
-  let verdict_of ctx m =
-    let outcome = M.conclude m in
-    let st = package_counters ctx (M.package m) in
-    {
-      Engine.outcome;
-      peak_size = C.allocated (M.package m);
-      final_size = M.live_size m;
-      simulations = 0;
-      note = "";
-      dd = Some st;
-      certificate = None;
-    }
-
-  (* Fold both circuits into the miter under the scheme's side policy.
-     The scheme is only consulted while both sides have gates; a lone
-     surviving side is forced.  Deadline/cancellation polling happens
-     inside the applications: gate application is the package's GC safe
-     point and runs the engine hook. *)
-  let drive m (module S : Dd_scheme.APPLICATION_SCHEME) =
-    while not (M.exhausted m) do
-      let side =
-        if M.left_remaining m = 0 then Dd_scheme.Right
-        else if M.right_remaining m = 0 then Dd_scheme.Left
-        else S.choose (M.probe m)
-      in
-      M.apply m side
-    done
-
-  (* [Auto] resolves through the dispatch table per instance; the
-     resolved scheme is recorded in the ["dd.scheme.<name>"] counter so
-     [--json] reports show what actually ran. *)
-  let resolve ?table scheme g g' =
-    match scheme with Dd_scheme.Auto -> Dd_dispatch.choose ?table g g' | s -> s
-
-  let scheme_checker ?session ?(scheme = Dd_scheme.Proportional) ?table ?trace () :
-      Engine.checker =
-    (module struct
-      let name = "dd-" ^ Dd_scheme.to_string scheme
-
-      let run ctx g g' =
-        let resolved = resolve ?table scheme g g' in
-        Engine.Ctx.set ctx (Engine.Dd_scheme_used (Dd_scheme.to_string resolved)) 1;
-        let m =
-          Engine.Ctx.span ctx ~cat:"dd" "build-miter" (fun () ->
-              let m = M.create ctx ?session ?trace g g' in
-              drive m (Dd_scheme.impl resolved);
-              m)
-        in
-        let v = Engine.Ctx.span ctx ~cat:"dd" "conclude" (fun () -> verdict_of ctx m) in
-        (* Unpin the finished miter: resident packages outlive the
-           request, and a pinned verdict per request would defeat the
-           epoch sweep. *)
-        M.release m;
-        v
-    end)
-
-  let reference : Engine.checker =
-    (module struct
-      let name = "reference-dd"
-
-      let run ctx g g' =
-        let g, g' = Flatten.align g g' in
-        let a = Flatten.flatten g and b = Flatten.flatten g' in
-        let n = Circuit.num_qubits a in
-        let pkg =
-          C.create ?tol:(Engine.Ctx.tol ctx) ?gc_threshold:(Engine.Ctx.gc_threshold ctx)
-            ()
-        in
-        hook_pkg ctx pkg;
-        let build c =
-          List.fold_left
-            (fun acc op -> C.apply_op pkg n acc op)
-            (C.identity pkg n) (Circuit.ops c)
-        in
-        let da = Engine.Ctx.span ctx ~cat:"dd" "build-left" (fun () -> build a) in
-        (* Pin the first system matrix: building the second one runs
-           through GC safe points, and the root comparison below needs
-           canonicity. *)
-        C.root pkg da;
-        let db = Engine.Ctx.span ctx ~cat:"dd" "build-right" (fun () -> build b) in
-        C.root pkg db;
-        let outcome =
-          if
-            C.same_node da db
-            && Float.abs (Cx.mag (C.weight pkg da) -. Cx.mag (C.weight pkg db)) < 1e-9
-          then Equivalence.Equivalent
-          else begin
-            (* Canonicity says different roots mean different matrices,
-               but close-to-tolerance cases deserve the numeric check. *)
-            let miter = C.mul pkg (C.adjoint pkg da) db in
-            if C.is_identity ~up_to_phase:true pkg n miter then Equivalence.Equivalent
-            else if C.fidelity_to_identity pkg ~n miter >= Miter.fidelity_threshold
-            then Equivalence.Equivalent
-            else Equivalence.Not_equivalent
-          end
-        in
-        let st = package_counters ctx pkg in
-        {
-          Engine.outcome;
-          peak_size = C.allocated pkg;
-          final_size = C.node_count pkg da + C.node_count pkg db;
-          simulations = 0;
-          note = "";
-          dd = Some st;
-          certificate = None;
-        }
-    end)
-
-  let approximate ~threshold ~fidelity : Engine.checker =
-    (module struct
-      let name = "approximate-dd"
-
-      let run ctx g g' =
-        let m =
-          Engine.Ctx.span ctx ~cat:"dd" "build-miter" (fun () ->
-              let m = M.create ctx g g' in
-              drive m Dd_scheme.proportional;
-              m)
-        in
-        let f = M.fidelity m in
-        fidelity := f;
-        let outcome =
-          if f >= threshold then Equivalence.Equivalent else Equivalence.Not_equivalent
-        in
-        let st = package_counters ctx (M.package m) in
-        {
-          Engine.outcome;
-          peak_size = C.allocated (M.package m);
-          final_size = M.live_size m;
-          simulations = 0;
-          note = Printf.sprintf "(fidelity %.9f, threshold %g)" f threshold;
-          dd = Some st;
-          certificate = None;
-        }
-    end)
-end
-
-module Boxed = Of (Dd_core.Boxed_core)
-module Arena = Of (Dd_core.Arena_core)
-
-let scheme_checker ?(core = Dd_core.Boxed) ?session ?scheme ?table ?trace () :
+let scheme_checker ?session ?(scheme = Dd_scheme.Proportional) ?table ?trace () :
     Engine.checker =
-  match core with
-  | Dd_core.Boxed -> Boxed.scheme_checker ?session ?scheme ?table ?trace ()
-  | Dd_core.Arena -> Arena.scheme_checker ?session ?scheme ?table ?trace ()
+  (module struct
+    let name = "dd-" ^ Dd_scheme.to_string scheme
 
-let reference_core = function
-  | Dd_core.Boxed -> Boxed.reference
-  | Dd_core.Arena -> Arena.reference
+    let run ctx g g' =
+      let resolved = resolve ?table scheme g g' in
+      Engine.Ctx.set ctx (Engine.Dd_scheme_used (Dd_scheme.to_string resolved)) 1;
+      let m =
+        Engine.Ctx.span ctx ~cat:"dd" "build-miter" (fun () ->
+            let m = Miter.create ctx ?session ?trace g g' in
+            drive m (Dd_scheme.impl resolved);
+            m)
+      in
+      let v = Engine.Ctx.span ctx ~cat:"dd" "conclude" (fun () -> verdict_of ctx m) in
+      (* Unpin the finished miter: resident packages outlive the
+         request, and a pinned verdict per request would defeat the
+         epoch sweep. *)
+      Miter.release m;
+      v
+  end)
 
-let reference : Engine.checker = Boxed.reference
+let reference : Engine.checker =
+  (module struct
+    let name = "reference-dd"
+
+    let run ctx g g' =
+      let g, g' = Flatten.align g g' in
+      let a = Flatten.flatten g and b = Flatten.flatten g' in
+      let n = Circuit.num_qubits a in
+      let pkg =
+        Dd.create ?tol:(Engine.Ctx.tol ctx) ?gc_threshold:(Engine.Ctx.gc_threshold ctx)
+          ()
+      in
+      Miter.hook_pkg ctx pkg;
+      let build c =
+        List.fold_left
+          (fun acc op -> Dd_circuit.apply_op pkg n acc op)
+          (Dd.identity pkg n) (Circuit.ops c)
+      in
+      let da = Engine.Ctx.span ctx ~cat:"dd" "build-left" (fun () -> build a) in
+      (* Pin the first system matrix: building the second one runs
+         through GC safe points, and the root comparison below needs
+         canonicity. *)
+      Dd.root pkg da;
+      let db = Engine.Ctx.span ctx ~cat:"dd" "build-right" (fun () -> build b) in
+      Dd.root pkg db;
+      let outcome =
+        if
+          Dd.node_id da = Dd.node_id db
+          && Float.abs (Cx.mag (Dd.weight pkg da) -. Cx.mag (Dd.weight pkg db)) < 1e-9
+        then Equivalence.Equivalent
+        else
+          (* Canonicity says different roots mean different matrices,
+             but close-to-tolerance cases deserve the numeric check. *)
+          Miter.conclude_edge pkg n (Dd.mul pkg (Dd.adjoint pkg da) db)
+      in
+      let st = Miter.package_counters ctx pkg in
+      {
+        Engine.outcome;
+        peak_size = Dd.allocated pkg;
+        final_size = Dd.node_count pkg da + Dd.node_count pkg db;
+        simulations = 0;
+        note = "";
+        dd = Some st;
+        certificate = None;
+      }
+  end)
+
+let approximate ~threshold ~fidelity : Engine.checker =
+  (module struct
+    let name = "approximate-dd"
+
+    let run ctx g g' =
+      let m =
+        Engine.Ctx.span ctx ~cat:"dd" "build-miter" (fun () ->
+            let m = Miter.create ctx g g' in
+            drive m Dd_scheme.proportional;
+            m)
+      in
+      let f = Miter.fidelity m in
+      fidelity := f;
+      let outcome =
+        if f >= threshold then Equivalence.Equivalent else Equivalence.Not_equivalent
+      in
+      let st = Miter.package_counters ctx (Miter.package m) in
+      {
+        Engine.outcome;
+        peak_size = Dd.allocated (Miter.package m);
+        final_size = Miter.live_size m;
+        simulations = 0;
+        note = Printf.sprintf "(fidelity %.9f, threshold %g)" f threshold;
+        dd = Some st;
+        certificate = None;
+      }
+  end)
 
 (* ----------------------------------------------- Compatibility wrappers *)
 
@@ -195,24 +146,22 @@ let ctx_of ?tol ?gc_threshold ?deadline ?cancel () =
     ?cancel:(Option.map (fun flag () -> Atomic.get flag) cancel)
     ?tol ?gc_threshold ()
 
-let check_miter ?core ?scheme ?table ?tol ?gc_threshold ?trace ?deadline ?cancel g g' =
+let check_miter ?scheme ?table ?tol ?gc_threshold ?trace ?deadline ?cancel g g' =
   let ctx = ctx_of ?tol ?gc_threshold ?deadline ?cancel () in
   Engine.run ~ctx ~method_used:Equivalence.Alternating_dd
-    (scheme_checker ?core ?scheme ?table ?trace ())
+    (scheme_checker ?scheme ?table ?trace ())
     g g'
 
-let check_reference ?(core = Dd_core.Boxed) ?tol ?gc_threshold ?deadline ?cancel g g' =
+let check_reference ?tol ?gc_threshold ?deadline ?cancel g g' =
   let ctx = ctx_of ?tol ?gc_threshold ?deadline ?cancel () in
-  Engine.run ~ctx ~method_used:Equivalence.Reference_dd (reference_core core) g g'
+  Engine.run ~ctx ~method_used:Equivalence.Reference_dd reference g g'
 
-let check_approximate ?(core = Dd_core.Boxed) ?tol ?gc_threshold ?deadline ?sink
-    ~threshold g g' =
+let check_approximate ?tol ?gc_threshold ?deadline ?sink ~threshold g g' =
   let ctx = Engine.Ctx.make ?deadline ?tol ?gc_threshold ?sink () in
   let fidelity = ref nan in
-  let checker =
-    match core with
-    | Dd_core.Boxed -> Boxed.approximate ~threshold ~fidelity
-    | Dd_core.Arena -> Arena.approximate ~threshold ~fidelity
+  let report =
+    Engine.run ~ctx ~method_used:Equivalence.Alternating_dd
+      (approximate ~threshold ~fidelity)
+      g g'
   in
-  let report = Engine.run ~ctx ~method_used:Equivalence.Alternating_dd checker g g' in
   (report, !fidelity)

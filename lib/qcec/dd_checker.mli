@@ -14,7 +14,7 @@
 open Oqec_circuit
 open Oqec_dd
 
-(** [scheme_checker ?core ?scheme ?table ?trace ()] is the
+(** [scheme_checker ?session ?scheme ?table ?trace ()] is the
     ["dd-<scheme>"] checker: it builds the miter [U(G') * U(G)^dagger]
     starting from the identity, taking gates from both circuits under
     [scheme]'s side policy (default [Proportional], the repo's
@@ -28,15 +28,12 @@ open Oqec_dd
     ({!Engine.Ctx.tol}, {!Engine.Ctx.gc_threshold}); every gate
     application bumps the ["dd.gates_applied"] counter and polls the
     context's guard, and per-side applications land in
-    ["dd.left_applied"] / ["dd.right_applied"].  [core] selects the DD
-    package representation ({!Dd_core.kind}; default boxed, the
-    differential baseline).  [session] runs the miter against the
-    resident store ({!Dd_session}) instead of a fresh package — DDs
-    interned by earlier requests stay warm, the session's tuning knobs
-    win over the context's, and the finished miter is unpinned so the
-    store's epoch sweep can reclaim it. *)
+    ["dd.left_applied"] / ["dd.right_applied"].  [session] runs the
+    miter against the resident store ({!Dd_session}) instead of a fresh
+    package — DDs interned by earlier requests stay warm, the session's
+    tuning knobs win over the context's, and the finished miter is
+    unpinned so the store's epoch sweep can reclaim it. *)
 val scheme_checker :
-  ?core:Dd_core.kind ->
   ?session:Dd_session.t ->
   ?scheme:Dd_scheme.t ->
   ?table:Dd_dispatch.table ->
@@ -49,16 +46,12 @@ val scheme_checker :
     constant-time comparison once built). *)
 val reference : Engine.checker
 
-(** {!reference} over an explicit DD core. *)
-val reference_core : Dd_core.kind -> Engine.checker
-
-(** [check_miter ?core ?scheme ?table ?tol ?gc_threshold ?trace
+(** [check_miter ?scheme ?table ?tol ?gc_threshold ?trace
     ?deadline ?cancel g g'] runs {!scheme_checker} under a fresh
     context.  [deadline] is absolute monotonic time; [cancel] is a
     portfolio stop flag polled at every gate-application safe point
     (raises {!Equivalence.Cancelled} when set). *)
 val check_miter :
-  ?core:Dd_core.kind ->
   ?scheme:Dd_scheme.t ->
   ?table:Dd_dispatch.table ->
   ?tol:float ->
@@ -73,7 +66,6 @@ val check_miter :
 (** [check_reference ?tol ?gc_threshold ?deadline ?cancel g g'] runs
     {!reference} under a fresh context. *)
 val check_reference :
-  ?core:Dd_core.kind ->
   ?tol:float ->
   ?gc_threshold:int ->
   ?deadline:float ->
@@ -89,7 +81,6 @@ val check_reference :
     overlap [|tr (U^dag V)| / 2^n] reaches [threshold].  Returns the
     report together with the measured fidelity ([nan] on timeout). *)
 val check_approximate :
-  ?core:Dd_core.kind ->
   ?tol:float ->
   ?gc_threshold:int ->
   ?deadline:float ->

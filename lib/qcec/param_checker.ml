@@ -29,7 +29,7 @@ let assignment ~param_seed k vars =
   List.map (fun v -> (v, Phase.of_pi_fraction (1 + (2 * Rng.int rng 64)) 64)) vars
 
 let check ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?scheme ?table
-    ?dd_core ?sink ?(instantiations = default_instantiations)
+    ?sink ?(instantiations = default_instantiations)
     ?(param_seed = default_param_seed) g g' =
   let start = Mclock.now () in
   let deadline = Option.map (fun t -> start +. t) timeout in
@@ -38,7 +38,7 @@ let check ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?scheme ?tabl
   if vars = [] then
     (* Fully concrete after all: the combined engine decides directly. *)
     Engine.run ~ctx ~method_used:Equivalence.Combined
-      (Combined_checker.checker ?core:dd_core ?scheme ?table ())
+      (Combined_checker.checker ?scheme ?table ())
       g g'
   else begin
     (* Phase 1: the ZX engine on the symbolic pair. *)
@@ -75,7 +75,7 @@ let check ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?scheme ?tabl
            engine.  The loop is sequential and stops at the first
            refutation, so the reported assignment is the one with the
            smallest index — independent of machine and of [--jobs]. *)
-        let checker = Combined_checker.checker ?core:dd_core ?scheme ?table () in
+        let checker = Combined_checker.checker ?scheme ?table () in
         let runs = ref [ zx_run ] in
         let stats = ref [ zx_stats ] in
         let refuting = ref None in

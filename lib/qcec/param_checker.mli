@@ -50,7 +50,6 @@ val check :
   ?seed:int ->
   ?scheme:Dd_scheme.t ->
   ?table:Dd_dispatch.table ->
-  ?dd_core:Oqec_dd.Dd_core.kind ->
   ?sink:Engine.Trace.sink ->
   ?instantiations:int ->
   ?param_seed:int ->

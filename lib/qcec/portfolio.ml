@@ -258,7 +258,7 @@ let scheme_racers ?table scheme g g' =
 
 let check ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?jobs ?deadline
     ?(scheme = Dd_scheme.Proportional) ?table ?schemes
-    ?(checkers = default_selection) ?dd_core ?sink g g' =
+    ?(checkers = default_selection) ?sink g g' =
   let jobs = match jobs with Some j when j >= 1 -> j | Some _ | None -> default_jobs () in
   let ctx = Engine.Ctx.make ?deadline ?tol ?gc_threshold ~sim_runs ~seed ?sink () in
   let best = Atomic.make max_int in
@@ -270,7 +270,7 @@ let check ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?jobs ?deadline
       [
         (if checkers.use_dd then
            List.map
-             (fun s -> entry (Dd_checker.scheme_checker ?core:dd_core ~scheme:s ?table ()))
+             (fun s -> entry (Dd_checker.scheme_checker ~scheme:s ?table ()))
              dd_schemes
          else []);
         (if checkers.use_zx then [ entry Zx_checker.checker ] else []);
@@ -281,7 +281,7 @@ let check ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?jobs ?deadline
   let shards =
     if checkers.use_sim then
       List.init jobs (fun s ->
-          entry ~drain:true (Sim_checker.shard ?core:dd_core ~shard:s ~jobs ~best ()))
+          entry ~drain:true (Sim_checker.shard ~shard:s ~jobs ~best))
     else []
   in
   let entries = fixed @ shards in

@@ -79,7 +79,6 @@ val check :
   ?table:Dd_dispatch.table ->
   ?schemes:Dd_scheme.t list ->
   ?checkers:selection ->
-  ?dd_core:Oqec_dd.Dd_core.kind ->
   ?sink:Engine.Trace.sink ->
   Circuit.t ->
   Circuit.t ->

@@ -24,13 +24,11 @@ let strategy_of_string = function
 (* The differential-oracle checker set: one complete checker (dd), two
    one-sided ones (zx proves either verdict but may get stuck, sim only
    refutes) and one fragment-complete one (stab, Clifford only). *)
-let oracle_checkers ?dd_core () =
+let oracle_checkers () =
   [
-    ("dd", Equivalence.Alternating_dd, Dd_checker.scheme_checker ?core:dd_core ());
+    ("dd", Equivalence.Alternating_dd, Dd_checker.scheme_checker ());
     ("zx", Equivalence.Zx_calculus, Zx_checker.checker);
-    ( "sim",
-      Equivalence.Simulation,
-      Sim_checker.checker_core (Option.value dd_core ~default:Oqec_dd.Dd_core.Boxed) );
+    ("sim", Equivalence.Simulation, Sim_checker.checker);
     ("stab", Equivalence.Stabilizer, Stab_checker.checker);
   ]
 
@@ -39,8 +37,7 @@ let oracle_checkers ?dd_core () =
    centralised in {!Engine.run}; the portfolio is the same thing raced
    over several workers. *)
 let check ?(strategy = Combined) ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1)
-    ?jobs ?scheme ?table ?checkers ?dd_core ?session ?sink ?instantiations ?param_seed g
-    g' =
+    ?jobs ?scheme ?table ?checkers ?session ?sink ?instantiations ?param_seed g g' =
   let symbolic =
     Oqec_circuit.Circuit.is_symbolic g || Oqec_circuit.Circuit.is_symbolic g'
   in
@@ -49,18 +46,17 @@ let check ?(strategy = Combined) ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(
        instantiation checker (ZX-symbolic first, K instantiations as the
        fallback); only an explicit Zx request runs natively symbolic. *)
     Param_checker.check ?timeout ?tol ?gc_threshold ~sim_runs ~seed ?scheme ?table
-      ?dd_core ?sink ?instantiations ?param_seed g g'
+      ?sink ?instantiations ?param_seed g g'
   else
     let deadline = Option.map (fun t -> Mclock.now () +. t) timeout in
-    let core = Option.value dd_core ~default:Oqec_dd.Dd_core.Boxed in
     let ctx = Engine.Ctx.make ?deadline ?tol ?gc_threshold ~sim_runs ~seed ?sink () in
     let run method_used checker = Engine.run ~ctx ~method_used checker g g' in
     match strategy with
-    | Reference -> run Equivalence.Reference_dd (Dd_checker.reference_core core)
+    | Reference -> run Equivalence.Reference_dd Dd_checker.reference
     | Alternating ->
         run Equivalence.Alternating_dd
-          (Dd_checker.scheme_checker ?core:dd_core ?session ?scheme ?table ())
-    | Simulation -> run Equivalence.Simulation (Sim_checker.checker_core core)
+          (Dd_checker.scheme_checker ?session ?scheme ?table ())
+    | Simulation -> run Equivalence.Simulation Sim_checker.checker
     | Zx ->
         let r = run Equivalence.Zx_calculus Zx_checker.checker in
         if not symbolic then r
@@ -74,7 +70,7 @@ let check ?(strategy = Combined) ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(
     | Clifford -> run Equivalence.Stabilizer Stab_checker.checker
     | Combined ->
         run Equivalence.Combined
-          (Combined_checker.checker ?core:dd_core ?session ?scheme ?table ())
+          (Combined_checker.checker ?session ?scheme ?table ())
     | Portfolio ->
         Portfolio.check ?tol ?gc_threshold ~sim_runs ~seed ?jobs ?deadline ?scheme ?table
-          ?checkers ?dd_core ?sink g g'
+          ?checkers ?sink g g'

@@ -48,7 +48,6 @@ val strategy_of_string : string -> strategy option
     entry is run through {!Engine.run_worker} under its own context and
     any verdict disagreement is a bug by construction. *)
 val oracle_checkers :
-  ?dd_core:Oqec_dd.Dd_core.kind ->
   unit ->
   (string * Equivalence.method_used * Engine.checker) list
 
@@ -69,10 +68,7 @@ val oracle_checkers :
     [Portfolio] strategy race scheme-diverse DD workers); [checkers]
     restricts the
     [Portfolio] strategy's racers (default {!Portfolio.default_selection},
-    ignored by the other strategies); [dd_core] selects the DD package
-    representation for every DD-based engine
-    ({!Oqec_dd.Dd_core.kind}: boxed records or the struct-of-arrays
-    arena; default boxed — verdicts never depend on it); [session] runs
+    ignored by the other strategies); [session] runs
     the DD phase of the [Alternating] and [Combined] strategies against
     a resident store ({!Oqec_dd.Dd_session}) so interned DDs persist
     across calls — the checker service's warm path; ignored by the
@@ -108,7 +104,6 @@ val check :
   ?scheme:Dd_scheme.t ->
   ?table:Dd_dispatch.table ->
   ?checkers:Portfolio.selection ->
-  ?dd_core:Oqec_dd.Dd_core.kind ->
   ?session:Oqec_dd.Dd_session.t ->
   ?sink:Engine.Trace.sink ->
   ?instantiations:int ->

@@ -14,13 +14,9 @@
     every completed stimulus bumps the ["sim.stimuli"] counter. *)
 
 open Oqec_circuit
-open Oqec_dd
 
-(** The sequential ["simulation"] checker (boxed DD core). *)
+(** The sequential ["simulation"] checker. *)
 val checker : Engine.checker
-
-(** {!checker} over an explicit DD core ({!Dd_core.kind}). *)
-val checker_core : Dd_core.kind -> Engine.checker
 
 (** [shard ~shard ~jobs ~best] is the portfolio worker
     ["simulation-<shard>"]: it checks stimulus indices
@@ -32,16 +28,8 @@ val checker_core : Dd_core.kind -> Engine.checker
     {e global} minimal refuting index, independent of [jobs].  A
     stimulus whose index stops being minimal mid-run is abandoned via
     {!Equivalence.Cancelled}; the context's own cancellation aborts the
-    whole shard (another checker of the portfolio won).  [core] selects
-    the DD package representation; the stimulus stream and the reported
-    counterexample are identical for both cores. *)
-val shard :
-  ?core:Dd_core.kind ->
-  shard:int ->
-  jobs:int ->
-  best:int Atomic.t ->
-  unit ->
-  Engine.checker
+    whole shard (another checker of the portfolio won). *)
+val shard : shard:int -> jobs:int -> best:int Atomic.t -> Engine.checker
 
 (** [stimulus_bits ~seed ~index n] is the deterministic bit pattern of
     stimulus [index] (exposed for the sharding determinism tests). *)
@@ -60,7 +48,6 @@ val check :
 
 (** {!shard} under a fresh context (see {!shard} for the protocol). *)
 val check_shard :
-  ?core:Dd_core.kind ->
   ?tol:float ->
   ?gc_threshold:int ->
   ?deadline:float ->

@@ -26,213 +26,186 @@ open Oqec_qasm
    D accumulates b_j ... b_0 * inv(a_0) ... inv(a_i), which is the
    identity at the end iff the circuits agree. *)
 
-let fidelity_threshold = 1.0 -. 1e-9
+(* Parse header statements (includes, gate definitions) until the qreg
+   is known.  Stray pre-qreg barriers are dropped — they carry no
+   unitary meaning. *)
+let drive_header s =
+  while (not (Qasm_stream.header_done s)) && Qasm_stream.step s ~emit:ignore do
+    ()
+  done;
+  if not (Qasm_stream.header_done s) then
+    raise (Qasm_stream.Unsupported "stream ended before any qreg declaration")
 
-module Of (C : Dd_core.S) = struct
-  let conclude pkg n d =
-    if C.is_identity ~up_to_phase:true pkg n d then Equivalence.Equivalent
-    else if C.fidelity_to_identity pkg ~n d >= fidelity_threshold then
-      Equivalence.Equivalent
-    else Equivalence.Not_equivalent
-
-  let package_counters ctx pkg =
-    let st = C.stats pkg in
-    Engine.Ctx.set ctx Engine.Dd_gc_run st.Dd.gc_runs;
-    Engine.Ctx.set ctx Engine.Dd_cache_hit (Dd.cache_hits st);
-    (match st.Dd.arena with
-    | None -> ()
-    | Some a ->
-        Engine.Ctx.gauge ctx "dd.arena_occupancy" a.Dd.a_occupancy;
-        Engine.Ctx.set ctx Engine.Dd_arena_compaction a.Dd.a_compactions;
-        Engine.Ctx.set ctx Engine.Dd_shard_contention a.Dd.a_contended);
-    st
-
-  (* Parse header statements (includes, gate definitions) until the qreg
-     is known.  Stray pre-qreg barriers are dropped — they carry no
-     unitary meaning. *)
-  let drive_header s =
-    while (not (Qasm_stream.header_done s)) && Qasm_stream.step s ~emit:ignore do
+(* Refill [q] with the elementary lowering of the next operations;
+   false when the stream is exhausted and the queue stays empty.  At
+   most one op-producing statement is parsed per call: the lexer
+   cursor must track the application frontier, or the byte-ratio
+   policy below would lose its progress signal. *)
+let refill s q ~lower =
+  if Queue.is_empty q then begin
+    let got = ref false in
+    let emit op =
+      List.iter
+        (fun o ->
+          Queue.add o q;
+          got := true)
+        (lower op)
+    in
+    while (not !got) && Qasm_stream.step s ~emit do
       ()
-    done;
-    if not (Qasm_stream.header_done s) then
-      raise (Qasm_stream.Unsupported "stream ended before any qreg declaration")
+    done
+  end;
+  not (Queue.is_empty q)
 
-  (* Refill [q] with the elementary lowering of the next operations;
-     false when the stream is exhausted and the queue stays empty.  At
-     most one op-producing statement is parsed per call: the lexer
-     cursor must track the application frontier, or the byte-ratio
-     policy below would lose its progress signal. *)
-  let refill s q ~lower =
-    if Queue.is_empty q then begin
-      let got = ref false in
-      let emit op =
-        List.iter
-          (fun o ->
-            Queue.add o q;
-            got := true)
-          (lower op)
+let checker ~scheme sa sb : Engine.checker =
+  (module struct
+    let name = "stream-dd"
+
+    let run ctx _ _ =
+      drive_header sa;
+      drive_header sb;
+      let n = max (Qasm_stream.num_qubits sa) (Qasm_stream.num_qubits sb) in
+      let pkg =
+        Dd.create ?tol:(Engine.Ctx.tol ctx) ?gc_threshold:(Engine.Ctx.gc_threshold ctx)
+          ()
       in
-      while (not !got) && Qasm_stream.step s ~emit do
-        ()
-      done
-    end;
-    not (Queue.is_empty q)
+      let lower op = Circuit.ops (Decompose.elementary (Circuit.add (Circuit.create n) op)) in
+      let qa = Queue.create () and qb = Queue.create () in
+      let d = ref (Dd.identity pkg n) in
+      Dd.root pkg !d;
+      Miter.hook_pkg ctx pkg;
+      let commit nd =
+        Dd.root pkg nd;
+        Dd.unroot pkg !d;
+        d := nd
+      in
+      (* Barriers are never applied to the diagram (they lower to no
+         gates); they are counted as synchronisation tokens.  When the
+         two sides were produced with barriers at matching logical
+         positions, the policy below bounds cursor skew by one barrier
+         interval — without a hard alignment signal, byte-proportional
+         alternation drifts like a random walk and the miter grows
+         with stream length.  Mismatched or absent barriers degrade
+         scheduling, never correctness. *)
+      let bars_a = ref 0 and bars_b = ref 0 in
+      (* Re-anchor at sync points: when both sides have crossed the
+         same number of barriers and the miter passes the same
+         identity test the final verdict uses, snap it back to the
+         exact identity.  This discards the accumulated global phase
+         and, crucially, the floating-point dirt of the interval —
+         without it the weight set grows without bound (every interval
+         starts from a slightly dirty quasi-identity, canonical
+         weights stop collapsing, sharing and cache hits degrade) and
+         per-gate cost grows linearly with stream position.  Each
+         interval is judged against the tolerance independently, so
+         errors do not accumulate across intervals. *)
+      (* Byte anchors of the last sync point.  The proportional rule
+         below measures progress from these rather than from the start
+         of the stream: the byte-density difference between the two
+         sides is a random walk, and measured globally it makes the
+         intra-interval cursor skew — and with it the transient miter
+         size — grow with stream position. *)
+      let last_a = ref 0 and last_b = ref 0 in
+      let reanchor () =
+        if !bars_a = !bars_b then begin
+          last_a := Qasm_stream.consumed_bytes sa;
+          last_b := Qasm_stream.consumed_bytes sb;
+          if Miter.conclude_edge pkg n !d = Equivalence.Equivalent then
+            commit (Dd.identity pkg n)
+        end
+      in
+      let ops_a = ref 0 and ops_b = ref 0 in
+      let apply_a () =
+        match Queue.pop qa with
+        | Circuit.Barrier ->
+            incr bars_a;
+            reanchor ()
+        | op ->
+            incr ops_a;
+            Engine.Ctx.incr ctx Engine.Dd_left_applied;
+            commit (Dd_circuit.apply_op_left pkg n !d (Circuit.inverse_op op))
+      in
+      let apply_b () =
+        match Queue.pop qb with
+        | Circuit.Barrier ->
+            incr bars_b;
+            reanchor ()
+        | op ->
+            incr ops_b;
+            Engine.Ctx.incr ctx Engine.Dd_right_applied;
+            commit (Dd_circuit.apply_op pkg n !d op)
+      in
+      let ta = Qasm_stream.total_bytes sa and tb = Qasm_stream.total_bytes sb in
+      let continue = ref true in
+      while !continue do
+        let have_a = refill sa qa ~lower and have_b = refill sb qb ~lower in
+        if not (have_a || have_b) then continue := false
+        else if not have_b then apply_a ()
+        else if not have_a then apply_b ()
+        else if !bars_a > !bars_b then apply_b ()
+        else if !bars_b > !bars_a then apply_a ()
+        else if Queue.peek qa = Circuit.Barrier then apply_a ()
+        else if Queue.peek qb = Circuit.Barrier then apply_b ()
+        else begin
+          match scheme with
+          | Dd_scheme.Alternating ->
+              (* Strict one-to-one alternation on applied operations,
+                 the batch checker's baseline scheme. *)
+              if !ops_a <= !ops_b then apply_a () else apply_b ()
+          | Dd_scheme.Proportional | Dd_scheme.Cost_metric | Dd_scheme.Auto ->
+              (* Advance the side lagging in consumed-bytes proportion,
+                 mirroring the proportional scheme's ia*kb <= ib*ka.
+                 Bytes are a fuzzy stand-in for gate indices, so the
+                 product can drift away from the identity when the
+                 sides' gate densities diverge; Lookahead resists the
+                 drift at the price of applying each gate twice. *)
+              if
+                (Qasm_stream.consumed_bytes sa - !last_a) * tb
+                <= (Qasm_stream.consumed_bytes sb - !last_b) * ta
+              then apply_a ()
+              else apply_b ()
+          | Dd_scheme.Lookahead ->
+              (* Apply one gate from each side speculatively and keep
+                 the smaller diagram (see {!Miter.peek_left});
+                 the losing side's gate stays queued. *)
+              let cand_a = Dd_circuit.apply_op_left pkg n !d (Circuit.inverse_op (Queue.peek qa)) in
+              Dd.root pkg cand_a;
+              let cand_b = Dd_circuit.apply_op pkg n !d (Queue.peek qb) in
+              Dd.unroot pkg cand_a;
+              if Dd.node_count pkg cand_a <= Dd.node_count pkg cand_b then begin
+                ignore (Queue.pop qa);
+                incr ops_a;
+                Engine.Ctx.incr ctx Engine.Dd_left_applied;
+                commit cand_a
+              end
+              else begin
+                ignore (Queue.pop qb);
+                incr ops_b;
+                Engine.Ctx.incr ctx Engine.Dd_right_applied;
+                commit cand_b
+              end
+        end
+      done;
+      let outcome =
+        Engine.Ctx.span ctx ~cat:"dd" "conclude" (fun () -> Miter.conclude_edge pkg n !d)
+      in
+      let st = Miter.package_counters ctx pkg in
+      {
+        Engine.outcome;
+        peak_size = Dd.allocated pkg;
+        final_size = Dd.node_count pkg !d;
+        simulations = 0;
+        note = "";
+        dd = Some st;
+        certificate = None;
+      }
+  end)
 
-  let checker ~scheme sa sb : Engine.checker =
-    (module struct
-      let name = "stream-dd"
-
-      let run ctx _ _ =
-        drive_header sa;
-        drive_header sb;
-        let n = max (Qasm_stream.num_qubits sa) (Qasm_stream.num_qubits sb) in
-        let pkg =
-          C.create ?tol:(Engine.Ctx.tol ctx) ?gc_threshold:(Engine.Ctx.gc_threshold ctx)
-            ()
-        in
-        let lower op = Circuit.ops (Decompose.elementary (Circuit.add (Circuit.create n) op)) in
-        let qa = Queue.create () and qb = Queue.create () in
-        let d = ref (C.identity pkg n) in
-        C.root pkg !d;
-        C.on_safe_point pkg (fun () ->
-            Engine.Ctx.incr ctx Engine.Dd_gate_applied;
-            Engine.Ctx.check ctx);
-        let commit nd =
-          C.root pkg nd;
-          C.unroot pkg !d;
-          d := nd
-        in
-        (* Barriers are never applied to the diagram (they lower to no
-           gates); they are counted as synchronisation tokens.  When the
-           two sides were produced with barriers at matching logical
-           positions, the policy below bounds cursor skew by one barrier
-           interval — without a hard alignment signal, byte-proportional
-           alternation drifts like a random walk and the miter grows
-           with stream length.  Mismatched or absent barriers degrade
-           scheduling, never correctness. *)
-        let bars_a = ref 0 and bars_b = ref 0 in
-        (* Re-anchor at sync points: when both sides have crossed the
-           same number of barriers and the miter passes the same
-           identity test the final verdict uses, snap it back to the
-           exact identity.  This discards the accumulated global phase
-           and, crucially, the floating-point dirt of the interval —
-           without it the weight set grows without bound (every interval
-           starts from a slightly dirty quasi-identity, canonical
-           weights stop collapsing, sharing and cache hits degrade) and
-           per-gate cost grows linearly with stream position.  Each
-           interval is judged against the tolerance independently, so
-           errors do not accumulate across intervals. *)
-        (* Byte anchors of the last sync point.  The proportional rule
-           below measures progress from these rather than from the start
-           of the stream: the byte-density difference between the two
-           sides is a random walk, and measured globally it makes the
-           intra-interval cursor skew — and with it the transient miter
-           size — grow with stream position. *)
-        let last_a = ref 0 and last_b = ref 0 in
-        let reanchor () =
-          if !bars_a = !bars_b then begin
-            last_a := Qasm_stream.consumed_bytes sa;
-            last_b := Qasm_stream.consumed_bytes sb;
-            if
-              C.is_identity ~up_to_phase:true pkg n !d
-              || C.fidelity_to_identity pkg ~n !d >= fidelity_threshold
-            then commit (C.identity pkg n)
-          end
-        in
-        let ops_a = ref 0 and ops_b = ref 0 in
-        let apply_a () =
-          match Queue.pop qa with
-          | Circuit.Barrier ->
-              incr bars_a;
-              reanchor ()
-          | op ->
-              incr ops_a;
-              Engine.Ctx.incr ctx Engine.Dd_left_applied;
-              commit (C.apply_op_left pkg n !d (Circuit.inverse_op op))
-        in
-        let apply_b () =
-          match Queue.pop qb with
-          | Circuit.Barrier ->
-              incr bars_b;
-              reanchor ()
-          | op ->
-              incr ops_b;
-              Engine.Ctx.incr ctx Engine.Dd_right_applied;
-              commit (C.apply_op pkg n !d op)
-        in
-        let ta = Qasm_stream.total_bytes sa and tb = Qasm_stream.total_bytes sb in
-        let continue = ref true in
-        while !continue do
-          let have_a = refill sa qa ~lower and have_b = refill sb qb ~lower in
-          if not (have_a || have_b) then continue := false
-          else if not have_b then apply_a ()
-          else if not have_a then apply_b ()
-          else if !bars_a > !bars_b then apply_b ()
-          else if !bars_b > !bars_a then apply_a ()
-          else if Queue.peek qa = Circuit.Barrier then apply_a ()
-          else if Queue.peek qb = Circuit.Barrier then apply_b ()
-          else begin
-            match scheme with
-            | Dd_scheme.Alternating ->
-                (* Strict one-to-one alternation on applied operations,
-                   the batch checker's baseline scheme. *)
-                if !ops_a <= !ops_b then apply_a () else apply_b ()
-            | Dd_scheme.Proportional | Dd_scheme.Cost_metric | Dd_scheme.Auto ->
-                (* Advance the side lagging in consumed-bytes proportion,
-                   mirroring the proportional scheme's ia*kb <= ib*ka.
-                   Bytes are a fuzzy stand-in for gate indices, so the
-                   product can drift away from the identity when the
-                   sides' gate densities diverge; Lookahead resists the
-                   drift at the price of applying each gate twice. *)
-                if
-                  (Qasm_stream.consumed_bytes sa - !last_a) * tb
-                  <= (Qasm_stream.consumed_bytes sb - !last_b) * ta
-                then apply_a ()
-                else apply_b ()
-            | Dd_scheme.Lookahead ->
-                (* Apply one gate from each side speculatively and keep
-                   the smaller diagram (see {!Miter.Make.peek_left});
-                   the losing side's gate stays queued. *)
-                let cand_a = C.apply_op_left pkg n !d (Circuit.inverse_op (Queue.peek qa)) in
-                C.root pkg cand_a;
-                let cand_b = C.apply_op pkg n !d (Queue.peek qb) in
-                C.unroot pkg cand_a;
-                if C.node_count pkg cand_a <= C.node_count pkg cand_b then begin
-                  ignore (Queue.pop qa);
-                  incr ops_a;
-                  Engine.Ctx.incr ctx Engine.Dd_left_applied;
-                  commit cand_a
-                end
-                else begin
-                  ignore (Queue.pop qb);
-                  incr ops_b;
-                  Engine.Ctx.incr ctx Engine.Dd_right_applied;
-                  commit cand_b
-                end
-          end
-        done;
-        let outcome = Engine.Ctx.span ctx ~cat:"dd" "conclude" (fun () -> conclude pkg n !d) in
-        let st = package_counters ctx pkg in
-        {
-          Engine.outcome;
-          peak_size = C.allocated pkg;
-          final_size = C.node_count pkg !d;
-          simulations = 0;
-          note = "";
-          dd = Some st;
-          certificate = None;
-        }
-    end)
-end
-
-module Boxed = Of (Dd_core.Boxed_core)
-module Arena = Of (Dd_core.Arena_core)
-
-(* [check ?core ... path_a path_b] streams both files through the
+(* [check ... path_a path_b] streams both files through the
    alternating miter.  The dummy circuits handed to {!Engine.run} are
    never inspected: the checker closes over the streams instead. *)
-let check ?(core = Dd_core.Boxed) ?(scheme = Dd_scheme.Proportional) ?chunk_size ?tol
-    ?gc_threshold ?deadline ?sink path_a path_b =
+let check ?(scheme = Dd_scheme.Proportional) ?chunk_size ?tol ?gc_threshold ?deadline ?sink
+    path_a path_b =
   let sa = Qasm_stream.open_file ?chunk_size path_a
   and sb = Qasm_stream.open_file ?chunk_size path_b in
   Fun.protect
@@ -241,10 +214,5 @@ let check ?(core = Dd_core.Boxed) ?(scheme = Dd_scheme.Proportional) ?chunk_size
       Qasm_stream.close sb)
     (fun () ->
       let ctx = Engine.Ctx.make ?deadline ?tol ?gc_threshold ?sink () in
-      let checker =
-        match core with
-        | Dd_core.Boxed -> Boxed.checker ~scheme sa sb
-        | Dd_core.Arena -> Arena.checker ~scheme sa sb
-      in
-      Engine.run ~ctx ~method_used:Equivalence.Alternating_dd checker (Circuit.create 0)
-        (Circuit.create 0))
+      Engine.run ~ctx ~method_used:Equivalence.Alternating_dd (checker ~scheme sa sb)
+        (Circuit.create 0) (Circuit.create 0))

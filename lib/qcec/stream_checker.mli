@@ -16,11 +16,10 @@
     {!Oqec_qasm.Qasm_stream}); files outside the subset raise
     [Qasm_stream.Unsupported]. *)
 
-(** [check ?core ?scheme ?chunk_size ?tol ?gc_threshold ?deadline ?sink
+(** [check ?scheme ?chunk_size ?tol ?gc_threshold ?deadline ?sink
     a b] returns a report with [method_used = Alternating_dd] and
     checker name ["stream-dd"]. *)
 val check :
-  ?core:Oqec_dd.Dd_core.kind ->
   ?scheme:Dd_scheme.t ->
   ?chunk_size:int ->
   ?tol:float ->

@@ -7,7 +7,7 @@ open Oqec_qcec
      {"method":"submit", "id"?:str,
       "left":qasm | "left_file":path, "right":qasm | "right_file":path,
       "strategy"?:str, "timeout"?:sec, "sim_runs"?:int, "seed"?:int,
-      "dd_scheme"?:str, "dd_core"?:str, "fresh"?:bool}
+      "dd_scheme"?:str, "fresh"?:bool}
      {"method":"ping"} | {"method":"stats"} | {"method":"shutdown"}
 
    Events (one object per line, [id] echoed when the submit carried one):
@@ -33,7 +33,6 @@ type options = {
   sim_runs : int option;
   seed : int option;
   scheme : Dd_scheme.t option;
-  core : Oqec_dd.Dd_core.kind option;
   fresh : bool;  (** bypass the verdict cache (still warms the DD store) *)
 }
 
@@ -44,7 +43,6 @@ let default_options =
     sim_runs = None;
     seed = None;
     scheme = None;
-    core = None;
     fresh = false;
   }
 
@@ -125,15 +123,6 @@ let parse_options j =
         | Some sch -> Ok (Some sch)
         | None -> bad ("unknown dd_scheme " ^ s))
   in
-  let* core =
-    let* s = field_str j "dd_core" in
-    match s with
-    | None -> Ok None
-    | Some s -> (
-        match Oqec_dd.Dd_core.kind_of_string s with
-        | Some k -> Ok (Some k)
-        | None -> bad ("unknown dd_core " ^ s))
-  in
   let* fresh = field_bool j "fresh" in
   Ok
     {
@@ -142,7 +131,6 @@ let parse_options j =
       sim_runs = Option.map int_of_float sim_runs;
       seed = Option.map int_of_float seed;
       scheme;
-      core;
       fresh = Option.value fresh ~default:false;
     }
 
@@ -173,13 +161,12 @@ let parse_request line =
    canonically for the verdict-cache key ([fresh] excluded: it only
    steers cache lookup). *)
 let options_fingerprint o =
-  Printf.sprintf "strategy=%s;timeout=%s;sim_runs=%d;seed=%d;scheme=%s;core=%s"
+  Printf.sprintf "strategy=%s;timeout=%s;sim_runs=%d;seed=%d;scheme=%s"
     (Qcec.strategy_to_string o.strategy)
     (match o.timeout with Some t -> Printf.sprintf "%g" t | None -> "none")
     (Option.value o.sim_runs ~default:16)
     (Option.value o.seed ~default:1)
     (match o.scheme with Some s -> Dd_scheme.to_string s | None -> "default")
-    (match o.core with Some c -> Oqec_dd.Dd_core.kind_to_string c | None -> "default")
 
 (* ------------------------------------------------------------ events *)
 

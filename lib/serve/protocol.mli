@@ -5,7 +5,7 @@
     {"method":"submit", "id"?:str,
      "left":qasm | "left_file":path, "right":qasm | "right_file":path,
      "strategy"?, "timeout"?, "sim_runs"?, "seed"?,
-     "dd_scheme"?, "dd_core"?, "fresh"?:bool}
+     "dd_scheme"?, "fresh"?:bool}
     {"method":"ping"} | {"method":"stats"} | {"method":"shutdown"}
     v}
 
@@ -27,7 +27,6 @@ type options = {
   sim_runs : int option;
   seed : int option;
   scheme : Dd_scheme.t option;
-  core : Oqec_dd.Dd_core.kind option;
   fresh : bool;
       (** bypass the verdict cache on lookup (the result is still
           stored, and the resident DD store still warms) *)

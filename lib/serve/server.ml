@@ -103,7 +103,7 @@ let process ~cfg ~cache ~(session : Dd_session.t) ~emit ~jid ~id ~left ~right
                 in
                 (match
                    Qcec.check ~strategy:opts.strategy ?timeout ?sim_runs:opts.sim_runs
-                     ?seed:opts.seed ?scheme:opts.scheme ?dd_core:opts.core ~session g g'
+                     ?seed:opts.seed ?scheme:opts.scheme ~session g g'
                  with
                 | exception e -> error "internal" (Printexc.to_string e)
                 | r -> (

@@ -25,24 +25,57 @@ type t =
    %.17g so the float round-trips).  Parsing a "~" phase goes through
    Phase.of_float, which may snap a value that is within 1e-12 of a
    dyadic fraction — semantically equal under Phase.equal, so replay
-   preconditions are unaffected. *)
-let phase_to_string p =
+   preconditions are unaffected.  A linear symbolic phase
+   [c + sum (n/d) * v] prints exactly as "{c;v:n/d;...}", the constant
+   in one of the two concrete spellings. *)
+let concrete_to_string p =
   match Phase.to_pi_fraction p with
   | Some (n, d) -> Printf.sprintf "%d/%d" n d
   | None -> Printf.sprintf "~%.17g" (Phase.to_float p)
 
-let phase_of_string s =
+let phase_to_string p =
+  match Phase.linear_terms p with
+  | None -> concrete_to_string p
+  | Some (terms, const) ->
+      let term (v, (n, d)) = Printf.sprintf "%s:%d/%d" v n d in
+      "{" ^ String.concat ";" (concrete_to_string const :: List.map term terms) ^ "}"
+
+let fraction_of_string s =
+  match String.split_on_char '/' s with
+  | [ n; d ] -> (
+      match (int_of_string_opt n, int_of_string_opt d) with
+      | Some n, Some d when d <> 0 -> Some (n, d)
+      | _ -> None)
+  | _ -> None
+
+let concrete_of_string s =
   let len = String.length s in
   if len = 0 then None
   else if s.[0] = '~' then
     Option.map Phase.of_float (float_of_string_opt (String.sub s 1 (len - 1)))
-  else
-    match String.split_on_char '/' s with
-    | [ n; d ] -> (
-        match (int_of_string_opt n, int_of_string_opt d) with
-        | Some n, Some d when d <> 0 -> Some (Phase.of_pi_fraction n d)
-        | _ -> None)
-    | _ -> None
+  else Option.map (fun (n, d) -> Phase.of_pi_fraction n d) (fraction_of_string s)
+
+let phase_of_string s =
+  let ( let* ) = Option.bind in
+  let len = String.length s in
+  if len >= 2 && s.[0] = '{' && s.[len - 1] = '}' then
+    match String.split_on_char ';' (String.sub s 1 (len - 2)) with
+    | [] -> None
+    | c :: terms ->
+        let* const = concrete_of_string c in
+        let* terms =
+          List.fold_right
+            (fun t acc ->
+              let* acc = acc in
+              match String.split_on_char ':' t with
+              | [ v; f ] when v <> "" ->
+                  let* f = fraction_of_string f in
+                  Some ((v, f) :: acc)
+              | _ -> None)
+            terms (Some [])
+        in
+        Some (Phase.symbolic ~const terms)
+  else concrete_of_string s
 
 let etype_to_string = function Zx_graph.Simple -> "s" | Zx_graph.Had -> "h"
 

@@ -34,7 +34,9 @@ type t =
       (** merge gadget ([leaf], [axis], leaf phase [ph]) into ([leaf0], [axis0]) *)
 
 (** One step per line: ["fuse 3 7 1/2"], ["unfuse 4 0 12 s"], ... Phases
-    are ["n/d"] (n*pi/d, exact) or ["~r"] (radians, %.17g). *)
+    are ["n/d"] (n*pi/d, exact), ["~r"] (radians, %.17g) or, for a
+    linear symbolic phase [c + sum (n/d) * v], ["{c;v:n/d;...}"]
+    (exact). *)
 val to_string : t -> string
 
 (** Exact inverse of {!to_string}; [None] on malformed lines. *)

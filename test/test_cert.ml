@@ -304,6 +304,48 @@ let test_certify_dd_verdict () =
   let cert = certify report.Equivalence.outcome g g' in
   assert_valid "on-demand proof for a dd verdict" cert
 
+(* Two symbolic corpus pairs ([corpus/case-3e166b6468a07884],
+   [corpus/case-4f0aa36120b3fb60]).  The first is refuted by
+   instantiation: its witness must be searched on the pair instantiated
+   at the refuting assignment.  The second is proven for every value of
+   theta: its ZX proof carries symbolic phases, which the wire format
+   must spell exactly.  Both go through serialize/parse, as
+   [check --certify] followed by [verify-cert] does. *)
+let test_symbolic_pairs () =
+  let pair vars a b =
+    let src body =
+      Printf.sprintf "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nparameter %s;\n%s"
+        vars body
+    in
+    (Oqec_qasm.Qasm.circuit_of_string (src a), Oqec_qasm.Qasm.circuit_of_string (src b))
+  in
+  List.iter
+    (fun (name, (g, g'), expected) ->
+      let r = Qcec.check g g' in
+      Alcotest.(check string)
+        (name ^ " verdict")
+        (Equivalence.outcome_to_string expected)
+        (Equivalence.outcome_to_string r.Equivalence.outcome);
+      match Certify.of_report r g g' with
+      | Error e -> Alcotest.failf "%s: certify: %s" name e
+      | Ok cert -> (
+          match Cert.parse (Cert.serialize cert) with
+          | Error e -> Alcotest.failf "%s: certificate does not parse back: %s" name e
+          | Ok parsed ->
+              Alcotest.(check bool) (name ^ " round-trips") true (Cert.equal cert parsed);
+              assert_valid name parsed))
+    [
+      ( "instantiated refutation",
+        pair "alpha" "h q[0];\nrz(alpha) q[0];\ncx q[0],q[1];\np(alpha/2) q[1];\n"
+          "h q[0];\nrz(-alpha) q[0];\ncx q[0],q[1];\np(alpha/2) q[1];\n",
+        Equivalence.Not_equivalent );
+      ( "symbolic zx proof",
+        pair "theta" "h q[0];\ncrz(theta) q[0],q[1];\nh q[1];\n"
+          "h q[0];\nrz(theta/2) q[1];\ncx q[0],q[1];\nrz(-theta/2) q[1];\n\
+           cx q[0],q[1];\nh q[1];\n",
+        Equivalence.Equivalent );
+    ]
+
 (* ----------------------------------------------------- fuzz agreement *)
 
 (* Over fixed-seed fuzz pairs the engines and the certificates must
@@ -418,6 +460,8 @@ let suite =
     Alcotest.test_case "golden instances certify and validate" `Quick
       test_golden_instances;
     Alcotest.test_case "dd verdicts certify on demand" `Quick test_certify_dd_verdict;
+    Alcotest.test_case "symbolic corpus pairs certify and validate" `Quick
+      test_symbolic_pairs;
     Alcotest.test_case "engine verdicts agree with certificates on fuzz pairs" `Slow
       test_fuzz_agreement;
     Alcotest.test_case "validator catches a corrupted engine" `Quick

@@ -1,12 +1,11 @@
-(* Arena DD core: differential tests against the boxed baseline, GC and
-   rooting properties of the compacting arena, weight-table pins, and
-   the streaming QASM front end.
+(* The arena DD package: differential tests against independent
+   oracles, GC and rooting properties of the compacting arena,
+   weight-table pins, and the streaming QASM front end.
 
-   The boxed package is the differential reference: for every generated
-   pair both cores must return the same verdict, and for the stimuli
-   strategy the same counterexample index (the number of simulations
-   consumed before refutation) — verdicts must never depend on the
-   representation. *)
+   The oracles are the dense reference semantics ({!Unitary}, at most 8
+   qubits here): for every generated pair the DD verdict must match the
+   dense one, and the stimuli strategy must refute at exactly the first
+   stimulus whose dense output states differ. *)
 
 open Oqec_base
 open Oqec_circuit
@@ -59,16 +58,17 @@ let test_wtable_pins () =
 
 (* -------------------------------------------------- dense ground truth *)
 
-let apply_circuit (type p e) (module C : Dd_core.S with type pkg = p and type edge = e)
-    (pkg : p) c =
+(* Build the circuit's DD keeping the result rooted, as a client that
+   holds it across later safe points must. *)
+let apply_circuit pkg c =
   let n = Circuit.num_qubits c in
-  let d = ref (C.identity pkg n) in
-  C.root pkg !d;
+  let d = ref (Dd.identity pkg n) in
+  Dd.root pkg !d;
   List.iter
     (fun op ->
-      let nd = C.apply_op pkg n !d op in
-      C.root pkg nd;
-      C.unroot pkg !d;
+      let nd = Dd_circuit.apply_op pkg n !d op in
+      Dd.root pkg nd;
+      Dd.unroot pkg !d;
       d := nd)
     (Circuit.ops (Decompose.elementary c));
   !d
@@ -76,10 +76,10 @@ let apply_circuit (type p e) (module C : Dd_core.S with type pkg = p and type ed
 let test_arena_matches_dense () =
   List.iter
     (fun c ->
-      let pkg = Dd_arena.create () in
-      let d = apply_circuit (module Dd_core.Arena_core) pkg c in
+      let pkg = Dd.create () in
+      let d = apply_circuit pkg c in
       check_matrix_up_to_phase (Circuit.name c) (Unitary.unitary c)
-        (Dd_arena.to_dmatrix pkg d ~n:(Circuit.num_qubits c)))
+        (Dd_export.to_dmatrix pkg d ~n:(Circuit.num_qubits c)))
     [ ghz 3; qft 4; grover ~seed:3 3; w_state 4 ]
 
 (* ------------------------------------------------- differential suite *)
@@ -122,26 +122,50 @@ let case i =
   let g = random_circuit rng n len in
   (g, derive rng g)
 
+let dense_outcome g g' =
+  let a, b = Flatten.align g g' in
+  if Unitary.equivalent a b then Equivalence.Equivalent else Equivalence.Not_equivalent
+
+(* The dense prediction for the stimuli strategy: the outcome and the
+   number of stimuli run, refuting at the first index whose output
+   states differ. *)
+let dense_stimuli ~seed ~runs g g' =
+  let n = Circuit.num_qubits g in
+  let output c bits =
+    let index = ref 0 in
+    Array.iteri (fun q b -> if b then index := !index lor (1 lsl q)) bits;
+    let v = Unitary.basis_state n !index in
+    Unitary.apply_to_vector c v;
+    v
+  in
+  let rec scan i =
+    if i >= runs then (Equivalence.No_information, runs)
+    else
+      let bits = Sim_checker.stimulus_bits ~seed ~index:i n in
+      let va = output g bits and vb = output g' bits in
+      let ip = ref Cx.zero in
+      Array.iteri (fun k a -> ip := Cx.add !ip (Cx.mul (Cx.conj a) vb.(k))) va;
+      if Cx.mag !ip < 1.0 -. 1e-9 then (Equivalence.Not_equivalent, i + 1) else scan (i + 1)
+  in
+  scan 0
+
 let test_differential_pairs () =
   for i = 0 to 99 do
     let g, g' = case i in
-    let run core strategy =
-      Qcec.check ~strategy ~seed:11 ~sim_runs:8 ~dd_core:core g g'
-    in
-    let rb = run Dd_core.Boxed Qcec.Alternating
-    and ra = run Dd_core.Arena Qcec.Alternating in
+    let run strategy = Qcec.check ~strategy ~seed:11 ~sim_runs:8 g g' in
     Alcotest.check outcome_testable
       (Printf.sprintf "alternating case %d" i)
-      rb.Equivalence.outcome ra.Equivalence.outcome;
-    let sb = run Dd_core.Boxed Qcec.Simulation
-    and sa = run Dd_core.Arena Qcec.Simulation in
+      (dense_outcome g g') (run Qcec.Alternating).Equivalence.outcome;
+    let expected, stimuli = dense_stimuli ~seed:11 ~runs:8 g g' in
+    let s = run Qcec.Simulation in
     Alcotest.check outcome_testable
       (Printf.sprintf "simulation case %d" i)
-      sb.Equivalence.outcome sa.Equivalence.outcome;
-    (* Refutation must come from the same stimulus on both cores. *)
+      expected s.Equivalence.outcome;
+    (* Refutation must come from the first stimulus the dense states
+       tell apart. *)
     Alcotest.(check int)
       (Printf.sprintf "counterexample index case %d" i)
-      sb.Equivalence.simulations sa.Equivalence.simulations
+      stimuli s.Equivalence.simulations
   done
 
 let test_table1_miters () =
@@ -159,25 +183,23 @@ let test_table1_miters () =
   in
   List.iter
     (fun (name, g, g') ->
+      Alcotest.check outcome_testable (name ^ " dense") Equivalence.Equivalent
+        (dense_outcome g g');
       List.iter
         (fun strategy ->
-          let rb = Qcec.check ~strategy ~seed:7 ~dd_core:Dd_core.Boxed g g'
-          and ra = Qcec.check ~strategy ~seed:7 ~dd_core:Dd_core.Arena g g' in
-          Alcotest.check outcome_testable name Equivalence.Equivalent
-            rb.Equivalence.outcome;
-          Alcotest.check outcome_testable name rb.Equivalence.outcome
-            ra.Equivalence.outcome)
+          let r = Qcec.check ~strategy ~seed:7 g g' in
+          Alcotest.check outcome_testable name Equivalence.Equivalent r.Equivalence.outcome)
         [ Qcec.Alternating; Qcec.Reference; Qcec.Combined ];
-      (* A faulted compiled side must be rejected by both cores. *)
+      (* A faulted compiled side must be rejected, as the dense
+         reference confirms. *)
       match inject_fault ~seed:3 g' with
       | None -> ()
       | Some (bad, _) ->
-          List.iter
-            (fun core ->
-              let r = Qcec.check ~strategy:Qcec.Alternating ~seed:7 ~dd_core:core g bad in
-              Alcotest.check outcome_testable (name ^ " faulted")
-                Equivalence.Not_equivalent r.Equivalence.outcome)
-            [ Dd_core.Boxed; Dd_core.Arena ])
+          Alcotest.check outcome_testable (name ^ " faulted, dense")
+            Equivalence.Not_equivalent (dense_outcome g bad);
+          let r = Qcec.check ~strategy:Qcec.Alternating ~seed:7 g bad in
+          Alcotest.check outcome_testable (name ^ " faulted") Equivalence.Not_equivalent
+            r.Equivalence.outcome)
     pairs
 
 let test_jobs_independence () =
@@ -185,7 +207,7 @@ let test_jobs_independence () =
   let verdicts =
     List.map
       (fun jobs ->
-        (Qcec.check ~strategy:Qcec.Portfolio ~jobs ~seed:7 ~dd_core:Dd_core.Arena g g')
+        (Qcec.check ~strategy:Qcec.Portfolio ~jobs ~seed:7 g g')
           .Equivalence.outcome)
       [ 1; 3 ]
   in
@@ -198,51 +220,50 @@ let test_jobs_independence () =
 (* --------------------------------------------------- GC and rooting *)
 
 let test_rooted_stable_across_gc () =
-  let pkg = Dd_arena.create () in
+  let pkg = Dd.create () in
   let c = qft 4 in
-  let d = apply_circuit (module Dd_core.Arena_core) pkg c in
-  let id0 = Dd_arena.node_id d in
-  let dense0 = Dd_arena.to_dmatrix pkg d ~n:4 in
+  let d = apply_circuit pkg c in
+  let id0 = Dd.node_id d in
+  let dense0 = Dd_export.to_dmatrix pkg d ~n:4 in
   (* Pile up garbage, then collect: the rooted edge must neither move
      nor change meaning. *)
   for seed = 1 to 5 do
-    ignore (apply_circuit (module Dd_core.Arena_core) pkg (graph_state ~seed 5) : _)
+    ignore (apply_circuit pkg (graph_state ~seed 5) : Dd.edge)
   done;
   (* The intermediate diagrams above were rooted by apply_circuit; only
      their final edges still are.  Unroot nothing else: collect and see
      reclamation of the interior garbage. *)
-  let reclaimed = Dd_arena.gc pkg in
+  let reclaimed = Dd.gc pkg in
   Alcotest.(check bool) "something reclaimed" true (reclaimed > 0);
-  Alcotest.(check int) "rooted edge pinned" id0 (Dd_arena.node_id d);
-  check_matrix "meaning preserved" dense0 (Dd_arena.to_dmatrix pkg d ~n:4);
+  Alcotest.(check int) "rooted edge pinned" id0 (Dd.node_id d);
+  check_matrix "meaning preserved" dense0 (Dd_export.to_dmatrix pkg d ~n:4);
   (* Unrooting lets a later pass reclaim the diagram. *)
-  let live_before = Dd_arena.live pkg in
-  Dd_arena.unroot pkg d;
-  ignore (Dd_arena.gc pkg : int);
-  Alcotest.(check bool) "unrooted reclaimed" true (Dd_arena.live pkg < live_before)
+  let live_before = Dd.live pkg in
+  Dd.unroot pkg d;
+  ignore (Dd.gc pkg : int);
+  Alcotest.(check bool) "unrooted reclaimed" true (Dd.live pkg < live_before)
 
 (* Regression: the bump allocator could never come back down past a
    pinned root, so long miter runs leaked address space — capacity grew
    with total allocations instead of live size.  Freed slots below the
    pin must be reused. *)
 let test_capacity_bounded_by_live () =
-  let pkg = Dd_arena.create ~gc_threshold:512 ~capacity:2048 () in
+  let pkg = Dd.create ~gc_threshold:512 ~capacity:2048 () in
   let n = 4 in
   let rng = Rng.make ~seed:5 in
-  let d = ref (Dd_arena.identity pkg n) in
-  Dd_arena.root pkg !d;
+  let d = ref (Dd.identity pkg n) in
+  Dd.root pkg !d;
   for _ = 1 to 3000 do
     let c = random_circuit rng n 1 in
     List.iter
       (fun op ->
-        let nd = Dd_core.Arena_core.apply_op pkg n !d op in
-        Dd_arena.root pkg nd;
-        Dd_arena.unroot pkg !d;
+        let nd = Dd_circuit.apply_op pkg n !d op in
+        Dd.root pkg nd;
+        Dd.unroot pkg !d;
         d := nd)
       (Circuit.ops (Decompose.elementary c))
   done;
-  let st = Dd_arena.stats pkg in
-  let a = Option.get st.Dd.arena in
+  let a = (Dd.stats pkg).Dd.arena in
   Alcotest.(check bool) "compactions ran" true (a.Dd.a_compactions > 0);
   Alcotest.(check bool)
     (Printf.sprintf "capacity stays bounded (%d)" a.Dd.a_capacity)
@@ -250,16 +271,15 @@ let test_capacity_bounded_by_live () =
     (a.Dd.a_capacity <= 8192)
 
 let test_shared_arena () =
-  let arena = Dd_arena.create_shared ~capacity:4096 () in
-  let p1 = Dd_arena.attach arena and p2 = Dd_arena.attach arena in
-  let e1 = Dd_arena.identity p1 3 and e2 = Dd_arena.identity p2 3 in
+  let arena = Dd.create_shared ~capacity:4096 () in
+  let p1 = Dd.attach arena and p2 = Dd.attach arena in
+  let e1 = Dd.identity p1 3 and e2 = Dd.identity p2 3 in
   (* Hash-consing is arena-wide: both handles see the same slots. *)
-  Alcotest.(check int) "same node across handles" (Dd_arena.node_id e1)
-    (Dd_arena.node_id e2);
-  Alcotest.(check int) "attached handles never collect" 0 (Dd_arena.gc p1);
-  let g1 = apply_circuit (module Dd_core.Arena_core) p1 (ghz 3) in
+  Alcotest.(check int) "same node across handles" (Dd.node_id e1) (Dd.node_id e2);
+  Alcotest.(check int) "attached handles never collect" 0 (Dd.gc p1);
+  let g1 = apply_circuit p1 (ghz 3) in
   check_matrix_up_to_phase "shared-arena ghz" (Unitary.unitary (ghz 3))
-    (Dd_arena.to_dmatrix p2 g1 ~n:3)
+    (Dd_export.to_dmatrix p2 g1 ~n:3)
 
 (* ----------------------------------------------------- fuzz oracle *)
 
@@ -273,7 +293,6 @@ let test_fuzz_oracle_arena () =
       seed = 424242;
       shrink = false;
       corpus = None;
-      dd_core = Some Dd_core.Arena;
     }
   in
   let stats = Oqec_fuzz.Fuzz.run config in
@@ -371,11 +390,17 @@ let test_stream_twin_check () =
       Sys.remove base;
       Sys.remove twin)
     (fun () ->
+      (* The dense unitaries of the parsed files are the reference. *)
+      let dense () =
+        dense_outcome
+          (Oqec_qasm.Qasm.circuit_of_file base)
+          (Oqec_qasm.Qasm.circuit_of_file twin)
+      in
+      Alcotest.check outcome_testable "twin pair equivalent, dense" Equivalence.Equivalent
+        (dense ());
       List.iter
-        (fun (core, scheme) ->
-          let r =
-            Stream_checker.check ~core ~scheme ~chunk_size:512 base twin
-          in
+        (fun scheme ->
+          let r = Stream_checker.check ~scheme ~chunk_size:512 base twin in
           Alcotest.check outcome_testable "twin pair equivalent" Equivalence.Equivalent
             r.Equivalence.outcome;
           Alcotest.(check string)
@@ -383,22 +408,16 @@ let test_stream_twin_check () =
             (match r.Equivalence.runs with
             | [ run ] -> run.Equivalence.checker
             | _ -> "?"))
-        [
-          (Dd_core.Boxed, Dd_scheme.Proportional);
-          (Dd_core.Arena, Dd_scheme.Proportional);
-          (Dd_core.Arena, Dd_scheme.Lookahead);
-          (Dd_core.Boxed, Dd_scheme.Alternating);
-        ];
-      (* A trailing extra gate must flip the verdict on both cores. *)
+        [ Dd_scheme.Proportional; Dd_scheme.Lookahead; Dd_scheme.Alternating ];
+      (* A trailing extra gate must flip the verdict. *)
       let oc = open_out_gen [ Open_append ] 0o644 twin in
       output_string oc "x q[0];\n";
       close_out oc;
-      List.iter
-        (fun core ->
-          let r = Stream_checker.check ~core ~chunk_size:512 base twin in
-          Alcotest.check outcome_testable "mutated twin rejected"
-            Equivalence.Not_equivalent r.Equivalence.outcome)
-        [ Dd_core.Boxed; Dd_core.Arena ])
+      Alcotest.check outcome_testable "mutated twin, dense" Equivalence.Not_equivalent
+        (dense ());
+      let r = Stream_checker.check ~chunk_size:512 base twin in
+      Alcotest.check outcome_testable "mutated twin rejected" Equivalence.Not_equivalent
+        r.Equivalence.outcome)
 
 let suite =
   [

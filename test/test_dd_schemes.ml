@@ -2,12 +2,12 @@
 
    The scheme only decides which side of the miter contributes the next
    gate, so it must be invisible in every answer:
-   - fixed-seed differential suite: all four concrete schemes plus auto,
-     on both DD cores, agree with alternating-on-boxed over 100
-     generated pairs, and the Combined strategy reports the identical
-     counterexample note regardless of scheme;
+   - fixed-seed differential suite: all four concrete schemes plus auto
+     agree with the dense reference unitaries over 100 generated pairs,
+     and the Combined strategy reports the identical counterexample note
+     regardless of scheme;
    - Table-1 style compiled miters, clean and with injected faults
-     (remove_gate / flip_cnot), across every scheme and core;
+     (remove_gate / flip_cnot), across every scheme;
    - unit tests pin each scheme's side policy on synthetic probes;
    - the dispatch table round-trips through its JSON wire form, rejects
      malformed input, and falls back to Alternating on fingerprints it
@@ -98,26 +98,20 @@ let test_op_costs () =
 (* ------------------------------------------- differential agreement *)
 
 let schemes_with_auto = Dd_scheme.all @ [ Dd_scheme.Auto ]
-let cores = [ Oqec_dd.Dd_core.Boxed; Oqec_dd.Dd_core.Arena ]
 
-let core_name = function Oqec_dd.Dd_core.Boxed -> "boxed" | Oqec_dd.Dd_core.Arena -> "arena"
-
+(* Every scheme must reproduce the verdict of the dense reference
+   unitaries (all pairs here have at most 8 qubits), which is returned. *)
 let agree_on label g g' =
-  let baseline =
-    (Dd_checker.check_miter ~scheme:Dd_scheme.Alternating g g').Equivalence.outcome
-  in
+  let reference = Test_dd_arena.dense_outcome g g' in
   List.iter
-    (fun core ->
-      List.iter
-        (fun scheme ->
-          let r = Dd_checker.check_miter ~core ~scheme g g' in
-          Alcotest.check outcome
-            (Printf.sprintf "%s: %s on %s agrees with alternating" label
-               (Dd_scheme.to_string scheme) (core_name core))
-            baseline r.Equivalence.outcome)
-        schemes_with_auto)
-    cores;
-  baseline
+    (fun scheme ->
+      let r = Dd_checker.check_miter ~scheme g g' in
+      Alcotest.check outcome
+        (Printf.sprintf "%s: %s agrees with the dense reference" label
+           (Dd_scheme.to_string scheme))
+        reference r.Equivalence.outcome)
+    schemes_with_auto;
+  reference
 
 let test_generated_pairs () =
   for seed = 1 to 100 do
@@ -302,7 +296,7 @@ let suite =
     Alcotest.test_case "schemes: side policies pinned on synthetic probes" `Quick
       test_side_policies;
     Alcotest.test_case "schemes: op costs pinned" `Quick test_op_costs;
-    Alcotest.test_case "differential: schemes x cores agree, 100 seeds" `Slow
+    Alcotest.test_case "differential: schemes match dense reference, 100 seeds" `Slow
       test_generated_pairs;
     Alcotest.test_case "differential: counterexample notes scheme-independent" `Slow
       test_counterexample_notes;

@@ -128,7 +128,7 @@ let gc_case seed =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: forced-gc DD matches dense unitary" seed)
       true
-      (Dmatrix.equal ~tol:1e-8 (Unitary.unitary c1) (Dd_export.to_dmatrix dd ~n));
+      (Dmatrix.equal ~tol:1e-8 (Unitary.unitary c1) (Dd_export.to_dmatrix pkg dd ~n));
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: gc actually ran" seed)
       true

@@ -15,12 +15,12 @@ let test_wide_register_fidelity () =
   let n = 65 in
   let pkg = Dd.create () in
   let id = Dd.identity pkg n in
-  Alcotest.(check (float 1e-9)) "identity fidelity" 1.0 (Dd.fidelity_to_identity ~n id);
+  Alcotest.(check (float 1e-9)) "identity fidelity" 1.0 (Dd.fidelity_to_identity pkg ~n id);
   (* A small but non-negligible rotation must not look like the identity. *)
   let tiny = Circuit.p (Circuit.create n) (Phase.of_pi_fraction 1 512) 40 in
   let dd = Dd_circuit.of_circuit pkg tiny in
   Alcotest.(check bool) "tiny rotation detected" true
-    (Dd.fidelity_to_identity ~n dd < 1.0 -. 1e-9);
+    (Dd.fidelity_to_identity pkg ~n dd < 1.0 -. 1e-9);
   Alcotest.(check bool) "not the identity node" false (Dd.is_identity pkg n dd)
 
 let test_wide_register_check () =
@@ -34,11 +34,10 @@ let test_wide_register_check () =
 (* kets_bits must agree with kets on narrow registers. *)
 let test_kets_bits () =
   let module Dd = Oqec_dd.Dd in
-  let module Dd_export = Oqec_dd.Dd_export in
   let pkg = Dd.create () in
   let a = Dd.kets pkg 4 11 in
   let b = Dd.kets_bits pkg 4 (fun q -> (11 lsr q) land 1 = 1) in
-  Alcotest.(check bool) "same node" true (a.Oqec_dd.Dd.node == b.Oqec_dd.Dd.node)
+  Alcotest.(check int) "same node" (Dd.node_id a) (Dd.node_id b)
 
 (* The Pauli-leaf (state copy) rule must preserve semantics. *)
 let test_pauli_leaf_rule () =

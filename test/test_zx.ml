@@ -188,7 +188,7 @@ let test_dot_exports () =
   (* DD dot export sanity, in the same breath. *)
   let pkg = Oqec_dd.Dd.create () in
   let dd = Oqec_dd.Dd_circuit.of_circuit pkg c in
-  let ddot = Oqec_dd.Dd_export.to_dot dd ~n:2 in
+  let ddot = Oqec_dd.Dd_export.to_dot pkg dd in
   Alcotest.(check bool) "dd digraph" true (contains "digraph dd" ddot);
   Alcotest.(check bool) "dd terminal" true (contains "label=\"1\"" ddot)
 
