@@ -14,11 +14,9 @@ open Oqec_base
      unique table), [next] (unique-table chain link) and [mark] (GC mark
      byte).  Node id 0 is the terminal.
    - The unique table is sharded by hash: each shard owns a bucket
-     array, an entry count and a mutex.  Chains thread through the
-     shared [next] column (every node lives in exactly one shard).
-     Single-owner packages skip the locks entirely; shared arenas
-     (see {!create_shared}/{!attach}) pay one try_lock per cons and
-     count the collisions they observe.
+     array and an entry count.  Chains thread through the shared [next]
+     column (every node lives in exactly one shard).  A package is
+     single-owner: one domain conses into it, so nothing is locked.
    - Compute caches are direct-mapped parallel int arrays — probing
      allocates nothing.
 
@@ -51,11 +49,9 @@ let i8_col n : i8_col = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c
 let no_kid = -1
 
 type shard = {
-  lock : Mutex.t;
   mutable buckets : int_col;  (* head node id per bucket; 0 = empty *)
   mutable bmask : int;
   mutable count : int;
-  mutable contended : int;  (* try_lock failures observed *)
   mutable bresizes : int;
 }
 
@@ -63,19 +59,17 @@ type arena = {
   w : Wtable.t;
   shards : shard array;
   shard_mask : int;
-  shared : bool;
   mutable cap : int;
-  next_free : int Atomic.t;  (* bump allocator: next unused slot *)
+  mutable next_free : int;  (* bump allocator: next unused slot *)
   (* Dead slots left behind by the last compaction that the slide could
      not fill (pinned roots sit above them and the bump pointer cannot
      come back down past a pinned slot).  Reusing them is safe exactly
      because compaction clears the compute caches and rebuilds the
      unique table: no stale reference to a freed id survives the
-     collection that freed it.  Single-owner arenas only — shared
-     arenas never compact, so their free list stays empty. *)
+     collection that freed it. *)
   mutable free_slots : int list;
-  live : int Atomic.t;
-  allocated : int Atomic.t;  (* nodes ever consed; monotonic *)
+  mutable live : int;
+  mutable allocated : int;  (* nodes ever consed; monotonic *)
   mutable var_c : i16_col;
   mutable kids : int_col;  (* 4 packed edges per node *)
   mutable next_c : int_col;
@@ -172,7 +166,6 @@ let icache_stats c =
 
 type pkg = {
   a : arena;
-  owns_arena : bool;  (* false for {!attach}ed handles: GC is disabled *)
   mm_cache : icache;
   mv_cache : icache;
   add_cache : icache;
@@ -193,26 +186,23 @@ let default_cache_bits = 14
 let default_shard_bits = 3
 let default_capacity = 1 lsl 16
 
-let make_arena ~tol ~shard_bits ~capacity ~shared =
+let make_arena ~tol ~shard_bits ~capacity =
   let nshards = 1 lsl shard_bits in
   let shard () =
     let b = int_col 1024 in
     Bigarray.Array1.fill b 0;
-    { lock = Mutex.create (); buckets = b; bmask = 1023; count = 0; contended = 0; bresizes = 0 }
+    { buckets = b; bmask = 1023; count = 0; bresizes = 0 }
   in
-  let w = Wtable.create ~tol () in
-  if shared then Wtable.set_shared w;
   let a =
     {
-      w;
+      w = Wtable.create ~tol ();
       shards = Array.init nshards (fun _ -> shard ());
       shard_mask = nshards - 1;
-      shared;
       cap = capacity;
-      next_free = Atomic.make 1;
+      next_free = 1;
       free_slots = [];
-      live = Atomic.make 0;
-      allocated = Atomic.make 0;
+      live = 0;
+      allocated = 0;
       var_c = i16_col capacity;
       kids = int_col (4 * capacity);
       next_c = int_col capacity;
@@ -225,11 +215,12 @@ let make_arena ~tol ~shard_bits ~capacity ~shared =
   Bigarray.Array1.fill a.mark_c 0;
   a
 
-let make_pkg ~arena ~owns_arena ~gc_threshold ~cache_bits =
+let create ?(tol = Cx.default_tolerance) ?(gc_threshold = default_gc_threshold)
+    ?(cache_bits = default_cache_bits) ?(shard_bits = default_shard_bits)
+    ?(capacity = default_capacity) () =
   if gc_threshold < 0 then invalid_arg "Dd.create: gc_threshold must be >= 0";
   {
-    a = arena;
-    owns_arena;
+    a = make_arena ~tol ~shard_bits ~capacity:(max 16 capacity);
     mm_cache = icache_create cache_bits;
     mv_cache = icache_create cache_bits;
     add_cache = icache_create cache_bits;
@@ -244,24 +235,6 @@ let make_pkg ~arena ~owns_arena ~gc_threshold ~cache_bits =
     peak_live = 0;
     safe_point_hook = ignore;
   }
-
-let create ?(tol = Cx.default_tolerance) ?(gc_threshold = default_gc_threshold)
-    ?(cache_bits = default_cache_bits) ?(shard_bits = default_shard_bits)
-    ?(capacity = default_capacity) () =
-  let arena = make_arena ~tol ~shard_bits ~capacity:(max 16 capacity) ~shared:false in
-  make_pkg ~arena ~owns_arena:true ~gc_threshold ~cache_bits
-
-type shared_arena = arena
-
-let create_shared ?(tol = Cx.default_tolerance) ?(shard_bits = default_shard_bits)
-    ~capacity () =
-  if capacity < 16 then invalid_arg "Dd.create_shared: capacity too small";
-  make_arena ~tol ~shard_bits ~capacity ~shared:true
-
-(* Attached handles never collect: compaction would move nodes under the
-   other handles' feet.  Shared arenas are preallocated instead. *)
-let attach ?(cache_bits = default_cache_bits) arena =
-  make_pkg ~arena ~owns_arena:false ~gc_threshold:max_int ~cache_bits
 
 let on_safe_point pkg f = pkg.safe_point_hook <- f
 let at_safe_point_hook pkg = pkg.safe_point_hook ()
@@ -301,16 +274,13 @@ let grow_arena a ~need =
 
 let alloc_slot a =
   match a.free_slots with
-  | idx :: rest when not a.shared ->
+  | idx :: rest ->
       a.free_slots <- rest;
       idx
-  | _ ->
-      let idx = Atomic.fetch_and_add a.next_free 1 in
-      if idx >= a.cap then
-        if a.shared then
-          failwith
-            (Printf.sprintf "Dd: shared arena capacity exhausted (%d nodes)" a.cap)
-        else grow_arena a ~need:(idx + 1);
+  | [] ->
+      let idx = a.next_free in
+      a.next_free <- idx + 1;
+      if idx >= a.cap then grow_arena a ~need:(idx + 1);
       idx
 
 (* ------------------------------------------------------------ hash-consing *)
@@ -367,11 +337,6 @@ let cons pkg var k0 k1 k2 k3 =
   let a = pkg.a in
   let h = key_hash var k0 k1 k2 k3 in
   let s = shard_of a h in
-  if a.shared then
-    if not (Mutex.try_lock s.lock) then begin
-      s.contended <- s.contended + 1;
-      Mutex.lock s.lock
-    end;
   let found = ref 0 in
   let i = ref s.buckets.{bucket_index h s.bmask} in
   while !found = 0 && !i <> 0 do
@@ -397,13 +362,12 @@ let cons pkg var k0 k1 k2 k3 =
       a.kids.{base + 2} <- k2;
       a.kids.{base + 3} <- k3;
       shard_insert a s h n;
-      Atomic.incr a.allocated;
-      let live = Atomic.fetch_and_add a.live 1 + 1 in
-      if live > pkg.peak_live then pkg.peak_live <- live;
+      a.allocated <- a.allocated + 1;
+      a.live <- a.live + 1;
+      if a.live > pkg.peak_live then pkg.peak_live <- a.live;
       n
     end
   in
-  if a.shared then Mutex.unlock s.lock;
   node
 
 (* Normalising constructor: the first edge of maximal magnitude carries
@@ -453,8 +417,8 @@ let children pkg (e : edge) =
   if is_terminal_id n then [||]
   else if is_vector_node pkg n then [| kid pkg n 0; kid pkg n 1 |]
   else Array.init 4 (kid pkg n)
-let live pkg = Atomic.get pkg.a.live
-let allocated pkg = Atomic.get pkg.a.allocated
+let live pkg = pkg.a.live
+let allocated pkg = pkg.a.allocated
 
 let root pkg (e : edge) =
   let n = nid e in
@@ -517,123 +481,120 @@ let is_identity ?(up_to_phase = true) pkg n e =
    3. remap every kid pointer and identity-cache entry, rebuild the
       unique table chains, drop the compute caches. *)
 let gc pkg =
-  if not pkg.owns_arena then 0
-  else begin
-    let a = pkg.a in
-    let top = Atomic.get a.next_free in
-    let before = Atomic.get a.live in
-    (* 1. mark *)
-    let stack = ref [] in
-    let push_edge e = if not (is_terminal_id (nid e)) then stack := nid e :: !stack in
-    Hashtbl.iter (fun n _ -> stack := n :: !stack) pkg.roots;
-    Hashtbl.iter (fun _ e -> push_edge e) pkg.id_cache;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | n :: rest ->
-          stack := rest;
-          if a.mark_c.{n} = 0 then begin
-            a.mark_c.{n} <- 1;
-            let base = 4 * n in
-            for j = 0 to 3 do
-              let k = a.kids.{base + j} in
-              if k <> no_kid && not (is_zero_edge k) then begin
-                let kn = nid k in
-                if not (is_terminal_id kn) && a.mark_c.{kn} = 0 then stack := kn :: !stack
-              end
-            done
-          end
-    done;
-    (* 2. compact: two-finger, dead slots collected bottom-up, survivors
-       moved top-down.  Pinned (rooted) nodes never move. *)
-    let deads = ref [] and ndead = ref 0 in
-    for i = top - 1 downto 1 do
-      if a.mark_c.{i} = 0 then begin
-        deads := i :: !deads;
-        incr ndead
-      end
-    done;
-    let remap = Hashtbl.create (max 64 (!ndead / 4)) in
-    let rec move i deads =
-      if i >= 1 then
-        match deads with
-        | f :: rest when f < i ->
-            if a.mark_c.{i} = 1 && not (Hashtbl.mem pkg.roots i) then begin
-              a.var_c.{f} <- a.var_c.{i};
-              let bi = 4 * i and bf = 4 * f in
-              for j = 0 to 3 do
-                a.kids.{bf + j} <- a.kids.{bi + j}
-              done;
-              a.mark_c.{f} <- 1;
-              a.mark_c.{i} <- 0;
-              Hashtbl.replace remap i f;
-              move (i - 1) rest
+  let a = pkg.a in
+  let top = a.next_free in
+  let before = a.live in
+  (* 1. mark *)
+  let stack = ref [] in
+  let push_edge e = if not (is_terminal_id (nid e)) then stack := nid e :: !stack in
+  Hashtbl.iter (fun n _ -> stack := n :: !stack) pkg.roots;
+  Hashtbl.iter (fun _ e -> push_edge e) pkg.id_cache;
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | n :: rest ->
+        stack := rest;
+        if a.mark_c.{n} = 0 then begin
+          a.mark_c.{n} <- 1;
+          let base = 4 * n in
+          for j = 0 to 3 do
+            let k = a.kids.{base + j} in
+            if k <> no_kid && not (is_zero_edge k) then begin
+              let kn = nid k in
+              if not (is_terminal_id kn) && a.mark_c.{kn} = 0 then stack := kn :: !stack
             end
-            else move (i - 1) deads
-        | _ -> ()
-    in
-    move (top - 1) !deads;
-    let new_top = ref 0 in
-    for i = 1 to top - 1 do
-      if a.mark_c.{i} = 1 then new_top := i
-    done;
-    let remap_edge e =
-      if is_zero_edge e || e = no_kid then e
-      else
-        let n = nid e in
-        match Hashtbl.find_opt remap n with
-        | Some f -> pack f (wid e)
-        | None -> e
-    in
-    (* 3. remap kids + identity cache, rebuild the unique table. *)
-    for i = 1 to !new_top do
-      if a.mark_c.{i} = 1 then begin
-        let base = 4 * i in
-        for j = 0 to 3 do
-          a.kids.{base + j} <- remap_edge a.kids.{base + j}
-        done
-      end
-    done;
-    let ids = Hashtbl.fold (fun k e acc -> (k, remap_edge e) :: acc) pkg.id_cache [] in
-    Hashtbl.reset pkg.id_cache;
-    List.iter (fun (k, e) -> Hashtbl.replace pkg.id_cache k e) ids;
-    Array.iter
-      (fun s ->
-        Bigarray.Array1.fill s.buckets 0;
-        s.count <- 0)
-      a.shards;
-    let after = ref 0 in
-    for i = 1 to !new_top do
-      if a.mark_c.{i} = 1 then begin
-        incr after;
-        let h = node_hash a i in
-        let s = shard_of a h in
-        shard_insert a s h i
-      end
-    done;
-    (* Dead slots below the highest survivor that the slide could not
-       fill (they sit under pinned roots): hand them to the allocator,
-       or the bump pointer — which can never come back down past a
-       pinned slot — leaks them and the arena grows without bound on
-       long runs. *)
-    let fl = ref [] in
-    for i = !new_top - 1 downto 1 do
-      if a.mark_c.{i} = 0 then fl := i :: !fl
-    done;
-    a.free_slots <- !fl;
-    Bigarray.Array1.fill (Bigarray.Array1.sub a.mark_c 0 top) 0;
-    Atomic.set a.next_free (!new_top + 1);
-    Atomic.set a.live !after;
-    a.compactions <- a.compactions + 1;
-    pkg.gc_runs <- pkg.gc_runs + 1;
-    pkg.gc_reclaimed <- pkg.gc_reclaimed + (before - !after);
-    clear_caches pkg;
-    if pkg.gc_threshold > 0 && !after > pkg.gc_limit * 3 / 4 then
-      pkg.gc_limit <- pkg.gc_limit * 2;
-    before - !after
-  end
+          done
+        end
+  done;
+  (* 2. compact: two-finger, dead slots collected bottom-up, survivors
+     moved top-down.  Pinned (rooted) nodes never move. *)
+  let deads = ref [] and ndead = ref 0 in
+  for i = top - 1 downto 1 do
+    if a.mark_c.{i} = 0 then begin
+      deads := i :: !deads;
+      incr ndead
+    end
+  done;
+  let remap = Hashtbl.create (max 64 (!ndead / 4)) in
+  let rec move i deads =
+    if i >= 1 then
+      match deads with
+      | f :: rest when f < i ->
+          if a.mark_c.{i} = 1 && not (Hashtbl.mem pkg.roots i) then begin
+            a.var_c.{f} <- a.var_c.{i};
+            let bi = 4 * i and bf = 4 * f in
+            for j = 0 to 3 do
+              a.kids.{bf + j} <- a.kids.{bi + j}
+            done;
+            a.mark_c.{f} <- 1;
+            a.mark_c.{i} <- 0;
+            Hashtbl.replace remap i f;
+            move (i - 1) rest
+          end
+          else move (i - 1) deads
+      | _ -> ()
+  in
+  move (top - 1) !deads;
+  let new_top = ref 0 in
+  for i = 1 to top - 1 do
+    if a.mark_c.{i} = 1 then new_top := i
+  done;
+  let remap_edge e =
+    if is_zero_edge e || e = no_kid then e
+    else
+      let n = nid e in
+      match Hashtbl.find_opt remap n with
+      | Some f -> pack f (wid e)
+      | None -> e
+  in
+  (* 3. remap kids + identity cache, rebuild the unique table. *)
+  for i = 1 to !new_top do
+    if a.mark_c.{i} = 1 then begin
+      let base = 4 * i in
+      for j = 0 to 3 do
+        a.kids.{base + j} <- remap_edge a.kids.{base + j}
+      done
+    end
+  done;
+  let ids = Hashtbl.fold (fun k e acc -> (k, remap_edge e) :: acc) pkg.id_cache [] in
+  Hashtbl.reset pkg.id_cache;
+  List.iter (fun (k, e) -> Hashtbl.replace pkg.id_cache k e) ids;
+  Array.iter
+    (fun s ->
+      Bigarray.Array1.fill s.buckets 0;
+      s.count <- 0)
+    a.shards;
+  let after = ref 0 in
+  for i = 1 to !new_top do
+    if a.mark_c.{i} = 1 then begin
+      incr after;
+      let h = node_hash a i in
+      let s = shard_of a h in
+      shard_insert a s h i
+    end
+  done;
+  (* Dead slots below the highest survivor that the slide could not
+     fill (they sit under pinned roots): hand them to the allocator,
+     or the bump pointer — which can never come back down past a
+     pinned slot — leaks them and the arena grows without bound on
+     long runs. *)
+  let fl = ref [] in
+  for i = !new_top - 1 downto 1 do
+    if a.mark_c.{i} = 0 then fl := i :: !fl
+  done;
+  a.free_slots <- !fl;
+  Bigarray.Array1.fill (Bigarray.Array1.sub a.mark_c 0 top) 0;
+  a.next_free <- !new_top + 1;
+  a.live <- !after;
+  a.compactions <- a.compactions + 1;
+  pkg.gc_runs <- pkg.gc_runs + 1;
+  pkg.gc_reclaimed <- pkg.gc_reclaimed + (before - !after);
+  clear_caches pkg;
+  if pkg.gc_threshold > 0 && !after > pkg.gc_limit * 3 / 4 then
+    pkg.gc_limit <- pkg.gc_limit * 2;
+  before - !after
 
-let maybe_gc pkg = if pkg.owns_arena && live pkg >= pkg.gc_limit then ignore (gc pkg)
+let maybe_gc pkg = if live pkg >= pkg.gc_limit then ignore (gc pkg)
 
 (* ------------------------------------------------------------ arithmetic *)
 
@@ -854,7 +815,6 @@ type arena_stats = {
   a_resizes : int;
   a_compactions : int;
   a_shards : int;
-  a_contended : int;
   a_shard_resizes : int;
 }
 
@@ -875,15 +835,13 @@ type stats = {
 
 let arena_stats pkg =
   let a = pkg.a in
-  let contended = Array.fold_left (fun acc s -> acc + s.contended) 0 a.shards in
   let bresizes = Array.fold_left (fun acc s -> acc + s.bresizes) 0 a.shards in
   {
     a_capacity = a.cap;
-    a_occupancy = Atomic.get a.live;
+    a_occupancy = a.live;
     a_resizes = a.resizes;
     a_compactions = a.compactions;
     a_shards = Array.length a.shards;
-    a_contended = contended;
     a_shard_resizes = bresizes;
   }
 
@@ -924,8 +882,8 @@ let pp_stats ppf s =
   Format.fprintf ppf "weights: %d distinct@," s.weights;
   Format.fprintf ppf "arena: %d/%d slots, %d resize(s), %d compaction(s)@," a.a_occupancy
     a.a_capacity a.a_resizes a.a_compactions;
-  Format.fprintf ppf "arena: %d shard(s), %d contended cons, %d shard resize(s)@]"
-    a.a_shards a.a_contended a.a_shard_resizes
+  Format.fprintf ppf "arena: %d shard(s), %d shard resize(s)@]" a.a_shards
+    a.a_shard_resizes
 
 let stats_to_json s =
   let cache c =
@@ -935,7 +893,7 @@ let stats_to_json s =
   in
   let a = s.arena in
   Printf.sprintf
-    "{\"allocated\":%d,\"live\":%d,\"peak_live\":%d,\"gc_runs\":%d,\"gc_reclaimed\":%d,\"weights\":%d,\"mm\":%s,\"mv\":%s,\"add\":%s,\"adj\":%s,\"inner\":%s,\"arena\":{\"capacity\":%d,\"occupancy\":%d,\"resizes\":%d,\"compactions\":%d,\"shards\":%d,\"shard_contended\":%d,\"shard_resizes\":%d}}"
+    "{\"allocated\":%d,\"live\":%d,\"peak_live\":%d,\"gc_runs\":%d,\"gc_reclaimed\":%d,\"weights\":%d,\"mm\":%s,\"mv\":%s,\"add\":%s,\"adj\":%s,\"inner\":%s,\"arena\":{\"capacity\":%d,\"occupancy\":%d,\"resizes\":%d,\"compactions\":%d,\"shards\":%d,\"shard_resizes\":%d}}"
     s.allocated s.live s.peak_live s.gc_runs s.gc_reclaimed s.weights (cache s.mm)
     (cache s.mv) (cache s.add_) (cache s.adj) (cache s.inner_) a.a_capacity a.a_occupancy
-    a.a_resizes a.a_compactions a.a_shards a.a_contended a.a_shard_resizes
+    a.a_resizes a.a_compactions a.a_shards a.a_shard_resizes

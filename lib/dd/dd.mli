@@ -15,8 +15,8 @@
     Representation: nodes live in an int-indexed struct-of-arrays arena
     (Bigarray columns, invisible to the OCaml GC), an edge is one
     immediate integer packing a node id with a dense weight id from
-    {!Wtable}, and the unique table is sharded by hash so several domains
-    can cons into one shared arena. *)
+    {!Wtable}, and the unique table is sharded by hash.  A package is
+    single-owner: one domain uses it at a time. *)
 
 open Oqec_base
 
@@ -29,7 +29,7 @@ val default_gc_threshold : int
 val default_cache_bits : int
 
 (** [create ?tol ?gc_threshold ?cache_bits ?shard_bits ?capacity ()]
-    makes a single-owner package: lock-free consing, growable arena,
+    makes a single-owner package: unlocked consing, growable arena,
     compaction enabled.  [tol] is the weight-interning tolerance, default
     {!Cx.default_tolerance}.  [gc_threshold] is the live-node count
     beyond which {!maybe_gc} collects (default 65536): [0] collects at
@@ -45,16 +45,6 @@ val create :
   ?capacity:int ->
   unit ->
   pkg
-
-(** A shared arena several packages can {!attach} to, e.g. one handle
-    per domain.  Interning serialises through per-shard locks and the
-    weight table's mutex; the arena is preallocated at exactly
-    [capacity] slots and raises [Failure] when full (growth and
-    compaction would move nodes under the other handles' feet). *)
-type shared_arena
-
-val create_shared : ?tol:float -> ?shard_bits:int -> capacity:int -> unit -> shared_arena
-val attach : ?cache_bits:int -> shared_arena -> pkg
 
 (** {1 Edges} *)
 
@@ -159,7 +149,7 @@ val root : pkg -> edge -> unit
 val unroot : pkg -> edge -> unit
 
 (** [gc pkg] forces a mark-and-compact pass and returns the number of
-    slots reclaimed.  No-op (returns 0) on {!attach}ed handles. *)
+    slots reclaimed. *)
 val gc : pkg -> int
 
 (** [maybe_gc pkg] collects iff the live-node count has crossed the
@@ -218,7 +208,6 @@ type arena_stats = {
   a_resizes : int;  (** whole-arena growth events *)
   a_compactions : int;  (** compaction passes run *)
   a_shards : int;  (** unique-table shard count *)
-  a_contended : int;  (** cons operations that hit a locked shard *)
   a_shard_resizes : int;  (** per-shard bucket-array doublings *)
 }
 

@@ -32,8 +32,6 @@ type t = {
   mutable re : float array;
   mutable im : float array;
   mutable n : int;
-  lock : Mutex.t;
-  mutable locked : bool;  (* shared arenas serialise interning *)
 }
 
 let zero_id = 0
@@ -97,8 +95,6 @@ let create ?(tol = Cx.default_tolerance) () =
       re = Array.make 1024 0.0;
       im = Array.make 1024 0.0;
       n = 0;
-      lock = Mutex.create ();
-      locked = false;
     }
   in
   let pin re im =
@@ -120,7 +116,6 @@ let create ?(tol = Cx.default_tolerance) () =
   List.iter (fun v -> ignore (intern_real t v)) [ 0.0; 1.0; -1.0; 0.5; -0.5; s; -.s ];
   t
 
-let set_shared t = t.locked <- true
 let tolerance t = t.tol
 let size t = t.n
 let re t id = t.re.(id)
@@ -175,7 +170,7 @@ let intern_nan t rv iv =
       Hashtbl.replace t.nan_ids key id;
       id
 
-let intern_uncontended t (z : Cx.t) =
+let intern t (z : Cx.t) =
   let rv = intern_real t z.Cx.re and iv = intern_real t z.Cx.im in
   if Float.is_nan rv || Float.is_nan iv then intern_nan t rv iv
   else begin
@@ -195,15 +190,3 @@ let intern_uncontended t (z : Cx.t) =
     end
   end
 
-let intern t z =
-  if t.locked then begin
-    Mutex.lock t.lock;
-    match intern_uncontended t z with
-    | id ->
-        Mutex.unlock t.lock;
-        id
-    | exception e ->
-        Mutex.unlock t.lock;
-        raise e
-  end
-  else intern_uncontended t z

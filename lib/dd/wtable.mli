@@ -18,10 +18,6 @@ type t
 
 val create : ?tol:float -> unit -> t
 
-(** Serialise subsequent {!intern} calls behind a mutex (used by shared
-    arenas where several domains intern concurrently). *)
-val set_shared : t -> unit
-
 val tolerance : t -> float
 
 (** Number of distinct weight ids assigned so far. *)

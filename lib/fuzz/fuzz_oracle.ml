@@ -44,12 +44,12 @@ let corrupt = function
   | Equivalence.No_information -> Equivalence.Equivalent
   | Equivalence.Timed_out -> Equivalence.Timed_out
 
-let run_one ~timeout ~seed ~sabotage checker_name checker g g' =
+let run_one ~timeout ~seed ~sabotage checker_name checker p =
   let deadline = Mclock.now () +. timeout in
   let ctx = Engine.Ctx.make ~deadline ~sim_runs:16 ~seed () in
   let t0 = Mclock.now () in
   let outcome, certificate =
-    match Engine.run_worker ctx checker g g' with
+    match Engine.run_worker ctx checker p with
     | v -> (v.Engine.outcome, v.Engine.certificate)
     | exception Equivalence.Cancelled -> (Equivalence.Timed_out, None)
   in
@@ -307,9 +307,11 @@ let run ?(timeout = 10.0) ?checkers ?(seed = 1) ~expected g g' =
         List.filter (fun (n, _, _) -> List.mem n names) (Qcec.oracle_checkers ())
   in
   let sabotage = Atomic.get break_hook in
+  (* One prepared pair for every checker, as in a portfolio race. *)
+  let p = Flatten.prepare g g' in
   let verdicts =
     List.map
-      (fun (name, _, checker) -> run_one ~timeout ~seed ~sabotage name checker g g')
+      (fun (name, _, checker) -> run_one ~timeout ~seed ~sabotage name checker p)
       selected
   in
   let truth =

@@ -3,14 +3,12 @@ open Oqec_circuit
 open Oqec_zx
 open Oqec_cert
 
+(* Certificates carry the full-width pair, never the stripped one. *)
 let certify outcome g g' =
-  let aligned () =
-    let g, g' = Flatten.align g g' in
-    (Flatten.flatten g, Flatten.flatten g')
-  in
+  let full () = Flatten.full (Flatten.prepare g g') in
   match outcome with
   | Equivalence.Equivalent -> (
-      let a, b = aligned () in
+      let a, b = full () in
       let steps = ref [] in
       let diagram = Zx_circuit.of_miter a b in
       let completed =
@@ -25,7 +23,7 @@ let certify outcome g g' =
             Error "zx reduction did not reach the identity; cannot certify equivalence"
       )
   | Equivalence.Not_equivalent -> (
-      let a, b = aligned () in
+      let a, b = full () in
       match Cert.find_witness a b with
       | Some (index, prep, fidelity) ->
           Ok (Cert.Witness { a; b; index; prep; fidelity })

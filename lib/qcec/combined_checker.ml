@@ -11,7 +11,7 @@ let checker ?session ?scheme ?table () : Engine.checker =
   (module struct
     let name = "combined"
 
-    let run ctx g g' =
+    let run ctx p =
       let screen_runs = min (Option.value (Engine.Ctx.sim_runs ctx) ~default:16) 8 in
       let now = Mclock.now () in
       let screen_deadline =
@@ -27,7 +27,7 @@ let checker ?session ?scheme ?table () : Engine.checker =
         (* A screen that exhausts its slice is simply inconclusive; only
            the overall deadline (enforced by [ctx]'s own guard in the DD
            phase) times the combined check out. *)
-        match Engine.Ctx.span ctx ~cat:"sim" "screen" (fun () -> Sim.run sctx g g') with
+        match Engine.Ctx.span ctx ~cat:"sim" "screen" (fun () -> Sim.run sctx p) with
         | v -> Some v
         | exception Equivalence.Timeout -> None
       in
@@ -41,6 +41,6 @@ let checker ?session ?scheme ?table () : Engine.checker =
             (val Dd_checker.scheme_checker ?session ?scheme ?table ()
                 : Engine.CHECKER)
           in
-          let v = Dd.run ctx g g' in
+          let v = Dd.run ctx p in
           { v with Engine.simulations = sims }
   end)

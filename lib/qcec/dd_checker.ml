@@ -36,23 +36,28 @@ let drive m (module S : Dd_scheme.APPLICATION_SCHEME) =
     Miter.apply m side
   done
 
-(* [Auto] resolves through the dispatch table per instance; the
-   resolved scheme is recorded in the ["dd.scheme.<name>"] counter so
-   [--json] reports show what actually ran. *)
-let resolve ?table scheme g g' =
-  match scheme with Dd_scheme.Auto -> Dd_dispatch.choose ?table g g' | s -> s
+(* [Auto] resolves through the dispatch table per instance, on the
+   caller's pair as given (the table's fingerprints were taken on it);
+   the resolved scheme is recorded in the ["dd.scheme.<name>"] counter
+   so [--json] reports show what actually ran. *)
+let resolve ?table scheme p =
+  match scheme with
+  | Dd_scheme.Auto ->
+      let g, g' = Flatten.source p in
+      Dd_dispatch.choose ?table g g'
+  | s -> s
 
 let scheme_checker ?session ?(scheme = Dd_scheme.Proportional) ?table ?trace () :
     Engine.checker =
   (module struct
     let name = "dd-" ^ Dd_scheme.to_string scheme
 
-    let run ctx g g' =
-      let resolved = resolve ?table scheme g g' in
+    let run ctx p =
+      let resolved = resolve ?table scheme p in
       Engine.Ctx.set ctx (Engine.Dd_scheme_used (Dd_scheme.to_string resolved)) 1;
       let m =
         Engine.Ctx.span ctx ~cat:"dd" "build-miter" (fun () ->
-            let m = Miter.create ctx ?session ?trace g g' in
+            let m = Miter.create ctx ?session ?trace p in
             drive m (Dd_scheme.impl resolved);
             m)
       in
@@ -68,9 +73,8 @@ let reference : Engine.checker =
   (module struct
     let name = "reference-dd"
 
-    let run ctx g g' =
-      let g, g' = Flatten.align g g' in
-      let a = Flatten.flatten g and b = Flatten.flatten g' in
+    let run ctx p =
+      let a, b = Flatten.stripped p in
       let n = Circuit.num_qubits a in
       let pkg =
         Dd.create ?tol:(Engine.Ctx.tol ctx) ?gc_threshold:(Engine.Ctx.gc_threshold ctx)
@@ -115,10 +119,10 @@ let approximate ~threshold ~fidelity : Engine.checker =
   (module struct
     let name = "approximate-dd"
 
-    let run ctx g g' =
+    let run ctx p =
       let m =
         Engine.Ctx.span ctx ~cat:"dd" "build-miter" (fun () ->
-            let m = Miter.create ctx g g' in
+            let m = Miter.create ctx p in
             drive m Dd_scheme.proportional;
             m)
       in

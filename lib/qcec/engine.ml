@@ -1,5 +1,4 @@
 open Oqec_base
-open Oqec_circuit
 
 module Trace = struct
   type event =
@@ -73,7 +72,8 @@ type counter =
   | Dd_gc_run
   | Dd_cache_hit
   | Dd_arena_compaction
-  | Dd_shard_contention
+  | Prepare_width
+  | Prepare_kept
   | Zx_rewrite of string
   | Sim_stimulus
   | Stab_row
@@ -86,7 +86,8 @@ let counter_key = function
   | Dd_gc_run -> "dd.gc_runs"
   | Dd_cache_hit -> "dd.cache_hits"
   | Dd_arena_compaction -> "dd.arena_compactions"
-  | Dd_shard_contention -> "dd.shard_contention"
+  | Prepare_width -> "prepare.width"
+  | Prepare_kept -> "prepare.kept"
   | Zx_rewrite rule -> "zx.rewrites." ^ rule
   | Sim_stimulus -> "sim.stimuli"
   | Stab_row -> "stab.rows_canonicalized"
@@ -255,7 +256,7 @@ type verdict = {
 
 module type CHECKER = sig
   val name : string
-  val run : Ctx.t -> Circuit.t -> Circuit.t -> verdict
+  val run : Ctx.t -> Flatten.prepared -> verdict
 end
 
 type checker = (module CHECKER)
@@ -278,15 +279,20 @@ let timed_out_verdict =
 (* Timeout is a verdict (the checker ran out of budget); Cancelled is
    control flow (another racer already won) and must propagate so the
    race can classify the worker. *)
-let run_worker ctx checker g g' =
+let run_worker ctx checker p =
   let module C = (val checker : CHECKER) in
+  Ctx.set ctx Prepare_width (Flatten.width p);
+  Ctx.set ctx Prepare_kept (Flatten.kept p);
   Ctx.span ctx ~cat:"engine" C.name (fun () ->
-      try C.run ctx g g' with Equivalence.Timeout -> timed_out_verdict)
+      try C.run ctx p with Equivalence.Timeout -> timed_out_verdict)
+
+let prepare ctx g g' =
+  Ctx.span ctx ~cat:"flatten" "prepare" (fun () -> Flatten.prepare g g')
 
 let run ~ctx ~method_used checker g g' =
   let module C = (val checker : CHECKER) in
   let start = Mclock.now () in
-  let verdict = run_worker ctx checker g g' in
+  let verdict = run_worker ctx checker (prepare ctx g g') in
   let elapsed = Mclock.elapsed_since start in
   {
     Equivalence.outcome = verdict.outcome;

@@ -61,7 +61,12 @@ type counter =
   | Dd_gc_run  (** ["dd.gc_runs"] *)
   | Dd_cache_hit  (** ["dd.cache_hits"] *)
   | Dd_arena_compaction  (** ["dd.arena_compactions"] *)
-  | Dd_shard_contention  (** ["dd.shard_contention"] *)
+  | Prepare_width
+      (** ["prepare.width"] — width of the aligned, flattened pair the
+          worker was handed ({!Flatten.width}) *)
+  | Prepare_kept
+      (** ["prepare.kept"] — wires left after stripping idle ones
+          ({!Flatten.kept}) *)
   | Zx_rewrite of string  (** ["zx.rewrites.<rule>"] *)
   | Sim_stimulus  (** ["sim.stimuli"] *)
   | Stab_row  (** ["stab.rows_canonicalized"] *)
@@ -158,9 +163,12 @@ type verdict = {
           or refuting stimulus); [None] when the checker produced none *)
 }
 
+(** A checker runs on a {!Flatten.prepared} pair: the pair is aligned
+    and flattened once per check and shared by every checker and racer.
+    Each checker picks the full-width or the stripped pair. *)
 module type CHECKER = sig
   val name : string
-  val run : Ctx.t -> Circuit.t -> Circuit.t -> verdict
+  val run : Ctx.t -> Flatten.prepared -> verdict
 end
 
 type checker = (module CHECKER)
@@ -170,14 +178,21 @@ type checker = (module CHECKER)
     produced any. *)
 val stats_of : Ctx.t -> name:string -> Oqec_dd.Dd.stats option -> Equivalence.engine_stats
 
-(** [run_worker ctx checker g g'] executes the checker inside a trace
-    span named after it.  {!Equivalence.Timeout} becomes a [Timed_out]
-    verdict; {!Equivalence.Cancelled} propagates (races rely on it). *)
-val run_worker : Ctx.t -> checker -> Circuit.t -> Circuit.t -> verdict
+(** [run_worker ctx checker p] executes the checker on the prepared pair
+    inside a trace span named after it, after setting [ctx]'s
+    ["prepare.width"] and ["prepare.kept"] counters from [p].
+    {!Equivalence.Timeout} becomes a [Timed_out] verdict;
+    {!Equivalence.Cancelled} propagates (races rely on it). *)
+val run_worker : Ctx.t -> checker -> Flatten.prepared -> verdict
 
-(** [run ~ctx ~method_used checker g g'] is {!run_worker} plus report
-    assembly: elapsed monotonic time, a single {!Equivalence.checker_run}
-    entry and the engine-stats payload. *)
+(** [prepare ctx g g'] is {!Flatten.prepare} inside a [("flatten",
+    "prepare")] trace span. *)
+val prepare : Ctx.t -> Circuit.t -> Circuit.t -> Flatten.prepared
+
+(** [run ~ctx ~method_used checker g g'] prepares the pair once
+    ({!prepare}), runs {!run_worker} and assembles the report: elapsed
+    monotonic time (preparation included), a single
+    {!Equivalence.checker_run} entry and the engine-stats payload. *)
 val run :
   ctx:Ctx.t ->
   method_used:Equivalence.method_used ->

@@ -67,3 +67,73 @@ let flatten ?(reconstruct_swaps = true) c =
 let align a b =
   let n = max (Circuit.num_qubits a) (Circuit.num_qubits b) in
   (Circuit.embed a ~num_qubits:n, Circuit.embed b ~num_qubits:n)
+
+(* A wire neither flattened side touches carries the identity on both,
+   and (U (x) I = V (x) I) iff (U = V) up to global phase: it can be
+   dropped.  Residual output-permutation SWAPs count as touches. *)
+type prepared = {
+  source : Circuit.t * Circuit.t;
+  full : Circuit.t * Circuit.t;
+  width : int;
+  wires : int array;
+  mutable stripped : (Circuit.t * Circuit.t) option;
+  lock : Mutex.t;
+}
+
+let prepare g g' =
+  let ga, gb = align g g' in
+  let a = flatten ga and b = flatten gb in
+  let width = Circuit.num_qubits a in
+  let touched = Array.make width false in
+  let mark c =
+    List.iter
+      (fun op -> List.iter (fun q -> touched.(q) <- true) (Circuit.op_qubits op))
+      (Circuit.ops c)
+  in
+  mark a;
+  mark b;
+  let wires = List.filter (fun q -> touched.(q)) (List.init width Fun.id) in
+  (* Keep at least one wire, so every checker sees a non-empty register. *)
+  let wires = if wires = [] && width > 0 then [ 0 ] else wires in
+  {
+    source = (g, g');
+    full = (a, b);
+    width;
+    wires = Array.of_list wires;
+    stripped = None;
+    lock = Mutex.create ();
+  }
+
+let source p = p.source
+let full p = p.full
+let width p = p.width
+let wires p = p.wires
+let kept p = Array.length p.wires
+
+let strip p =
+  let index = Array.make p.width (-1) in
+  Array.iteri (fun i q -> index.(q) <- i) p.wires;
+  let relabel c =
+    let op = function
+      | Circuit.Gate (g, t) -> Circuit.Gate (g, index.(t))
+      | Circuit.Ctrl (cs, g, t) ->
+          Circuit.Ctrl (List.map (fun q -> index.(q)) cs, g, index.(t))
+      | Circuit.Swap (x, y) -> Circuit.Swap (index.(x), index.(y))
+      | Circuit.Barrier -> Circuit.Barrier
+    in
+    Circuit.add_list
+      (Circuit.create ~name:(Circuit.name c) (kept p))
+      (List.map op (Circuit.ops c))
+  in
+  (relabel (fst p.full), relabel (snd p.full))
+
+(* Built on first use, under the record's lock: portfolio racers share
+   one record across domains, and a ZX-only check never builds it. *)
+let stripped p =
+  Mutex.protect p.lock (fun () ->
+      match p.stripped with
+      | Some s -> s
+      | None ->
+          let s = strip p in
+          p.stripped <- Some s;
+          s)

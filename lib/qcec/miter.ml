@@ -52,7 +52,6 @@ let package_counters ctx pkg =
   Engine.Ctx.set ctx Engine.Dd_cache_hit (Dd.cache_hits st);
   Engine.Ctx.gauge ctx "dd.arena_occupancy" st.Dd.arena.Dd.a_occupancy;
   Engine.Ctx.set ctx Engine.Dd_arena_compaction st.Dd.arena.Dd.a_compactions;
-  Engine.Ctx.set ctx Engine.Dd_shard_contention st.Dd.arena.Dd.a_contended;
   st
 
 (* Equivalence of unitaries is decided on the miter DD: structural
@@ -72,11 +71,10 @@ let total_cost ops = Array.fold_left (fun acc op -> acc + Dd_scheme.op_cost op) 
    inverts operation by operation, and controlled rotations only
    invert exactly after decomposition (their inverse-angle form
    differs by a controlled sign, rotation angles being canonical
-   modulo 2*pi). *)
-let create ctx ?session ?trace g g' =
-  let g, g' = Flatten.align g g' in
-  let a = Decompose.elementary (Flatten.flatten g)
-  and b = Decompose.elementary (Flatten.flatten g') in
+   modulo 2*pi).  The miter runs on the stripped pair. *)
+let create ctx ?session ?trace p =
+  let a, b = Flatten.stripped p in
+  let a = Decompose.elementary a and b = Decompose.elementary b in
   let n = Circuit.num_qubits a in
   let pkg =
     (* A resident session supplies its own package (with the session's
@@ -196,7 +194,6 @@ let probe m =
   }
 
 let fidelity m = Dd.fidelity_to_identity m.pkg ~n:m.n m.d
-let identity_distance m = 1.0 -. fidelity m
 
 (* Release every root the miter still holds.  Mandatory when the
    package came from a resident session — otherwise each request

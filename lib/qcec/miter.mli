@@ -1,4 +1,3 @@
-open Oqec_circuit
 open Oqec_dd
 
 (** Explicit miter state for the DD checkers.
@@ -34,8 +33,8 @@ val conclude_edge : Dd.pkg -> int -> Dd.edge -> Equivalence.outcome
 
 type t
 
-(** [create ctx ?session ?trace g g'] aligns and lowers both circuits
-    to elementary gates, allocates a package from the context's tuning
+(** [create ctx ?session ?trace p] lowers both circuits of [p]'s
+    stripped pair ({!Flatten.stripped}) to elementary gates, allocates a package from the context's tuning
     knobs and pins the identity as the initial miter.  With [session]
     the package instead comes from the resident store
     ({!Oqec_dd.Dd_session}): interned DDs and memoised products from
@@ -48,8 +47,7 @@ val create :
   Engine.Ctx.t ->
   ?session:Dd_session.t ->
   ?trace:(int -> unit) ->
-  Circuit.t ->
-  Circuit.t ->
+  Flatten.prepared ->
   t
 
 val package : t -> Dd.pkg
@@ -76,9 +74,6 @@ val peek_right : t -> int
 (** Commit the side's next gate into the miter (reusing the peeked
     candidate if one is cached), advance the cursor and bump the
     engine's per-side counter. *)
-val apply_left : t -> unit
-
-val apply_right : t -> unit
 val apply : t -> Dd_scheme.side -> unit
 
 (** Snapshot handed to {!Dd_scheme.APPLICATION_SCHEME.choose}. *)
@@ -87,9 +82,6 @@ val probe : t -> Dd_scheme.probe
 (** Hilbert-Schmidt fidelity of the miter to the identity,
     [|tr D| / 2^n]. *)
 val fidelity : t -> float
-
-(** [1 - fidelity], the distance the schemes try to keep small. *)
-val identity_distance : t -> float
 
 (** Verdict on the (normally exhausted) miter: structural identity up
     to phase, with the fidelity fallback against

@@ -42,7 +42,9 @@ let check ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?scheme ?tabl
       g g'
   else begin
     (* Phase 1: the ZX engine on the symbolic pair. *)
-    let zx_verdict = Engine.run_worker ctx Zx_checker.checker g g' in
+    let zx_verdict =
+      Engine.run_worker ctx Zx_checker.checker (Engine.prepare ctx g g')
+    in
     let zx_elapsed = Mclock.elapsed_since start in
     let zx_run =
       {
@@ -92,7 +94,7 @@ let check ?timeout ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?scheme ?tabl
           let name = Printf.sprintf "inst-%d" !k in
           let wctx = Engine.Ctx.worker ctx ~tid:(!k + 2) () in
           let t0 = Mclock.now () in
-          let v = Engine.run_worker wctx checker gi gi' in
+          let v = Engine.run_worker wctx checker (Engine.prepare wctx gi gi') in
           incr performed;
           runs :=
             {

@@ -104,11 +104,12 @@ let checker_run name = function
         run_note = Printf.sprintf "(error: %s)" (Printexc.to_string e);
       }
 
-(* [race ~ctx ~jobs ?resolve entries g g'] runs every entry on its own
-   domain and assembles the portfolio report.  [resolve] may remap the
-   raw winning slot index to a display name and a canonical slot (used
-   to surface the globally-minimal simulation counterexample). *)
-let race ~ctx ?(jobs = 1) ?resolve entries g g' =
+(* [race ~ctx ~jobs ?resolve entries p] runs every entry on its own
+   domain, all on the one prepared pair [p], and assembles the
+   portfolio report.  [resolve] may remap the raw winning slot index to
+   a display name and a canonical slot (used to surface the
+   globally-minimal simulation counterexample). *)
+let race ~ctx ?(jobs = 1) ?resolve entries p =
   let start = Mclock.now () in
   let entries = Array.of_list entries in
   let n = Array.length entries in
@@ -129,7 +130,7 @@ let race ~ctx ?(jobs = 1) ?resolve entries g g' =
   let run_worker i =
     let t0 = Mclock.now () in
     let s =
-      match Engine.run_worker contexts.(i) entries.(i).checker g g' with
+      match Engine.run_worker contexts.(i) entries.(i).checker p with
       | v -> Finished (v, Mclock.elapsed_since t0)
       | exception Equivalence.Cancelled -> Stopped (Mclock.elapsed_since t0)
       | exception e -> Failed (e, Printexc.get_raw_backtrace ())
@@ -261,6 +262,8 @@ let check ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?jobs ?deadline
     ?(checkers = default_selection) ?sink g g' =
   let jobs = match jobs with Some j when j >= 1 -> j | Some _ | None -> default_jobs () in
   let ctx = Engine.Ctx.make ?deadline ?tol ?gc_threshold ~sim_runs ~seed ?sink () in
+  (* Prepared once, before the race: every racer shares the record. *)
+  let p = Engine.prepare ctx g g' in
   let best = Atomic.make max_int in
   let dd_schemes =
     match schemes with Some ss -> ss | None -> scheme_racers ?table scheme g g'
@@ -296,4 +299,4 @@ let check ?tol ?gc_threshold ?(sim_runs = 16) ?(seed = 1) ?jobs ?deadline
     else (entry_name (List.nth entries i), i)
   in
   let jobs = if checkers.use_sim then jobs else 0 in
-  race ~ctx ~jobs ~resolve entries g g'
+  race ~ctx ~jobs ~resolve entries p

@@ -39,20 +39,20 @@ type entry
 
 val entry : ?drain:bool -> Engine.checker -> entry
 
-(** [race ~ctx ?jobs ?resolve entries g g'] runs every entry on a fresh
-    domain (worker contexts derived from [ctx] share its deadline and
-    trace sink) and assembles the portfolio report: winner, per-worker
-    breakdown and per-worker engine statistics.  [resolve] may remap the
-    raw winning slot index to a display name and a canonical slot index
-    (used to surface the globally-minimal simulation counterexample);
-    [jobs] is recorded in the report. *)
+(** [race ~ctx ?jobs ?resolve entries p] runs every entry on a fresh
+    domain, all on the one prepared pair [p] (worker contexts derived
+    from [ctx] share its deadline and trace sink), and assembles the
+    portfolio report: winner, per-worker breakdown and per-worker engine
+    statistics.  [resolve] may remap the raw winning slot index to a
+    display name and a canonical slot index (used to surface the
+    globally-minimal simulation counterexample); [jobs] is recorded in
+    the report. *)
 val race :
   ctx:Engine.Ctx.t ->
   ?jobs:int ->
   ?resolve:(int -> string * int) ->
   entry list ->
-  Circuit.t ->
-  Circuit.t ->
+  Flatten.prepared ->
   Equivalence.report
 
 (** [check ?tol ?gc_threshold ?sim_runs ?seed ?jobs ?deadline ?scheme

@@ -14,19 +14,22 @@ let atomic_pred = Option.map (fun flag () -> Atomic.get flag)
 let stimulus_bits ~seed ~index n =
   Workloads.random_bits (Rng.split_at (Rng.make ~seed) index) n
 
-type prepared = {
+(* The runs evolve the stripped pair.  Stimulus [i] on the stripped
+   register is full-width stimulus [i] restricted to the kept wires: an
+   idle wire holds the same basis state on both sides and contributes
+   an overlap of exactly 1, so refuting indices and fidelities are
+   those of the full-width pair. *)
+type setup = {
   pkg : Dd.pkg;
-  n : int;
-  a : Circuit.t;  (* kept for witness-certificate export *)
-  b : Circuit.t;
+  n : int;  (* stripped width *)
+  prepared : Flatten.prepared;
   dds_a : Dd.edge list;
   dds_b : Dd.edge list;
   check : unit -> unit;
 }
 
-let prepare ctx ~check g g' =
-  let g, g' = Flatten.align g g' in
-  let a = Flatten.flatten g and b = Flatten.flatten g' in
+let setup ctx ~check p =
+  let a, b = Flatten.stripped p in
   let n = Circuit.num_qubits a in
   let pkg =
     Dd.create ?tol:(Engine.Ctx.tol ctx) ?gc_threshold:(Engine.Ctx.gc_threshold ctx) ()
@@ -38,13 +41,14 @@ let prepare ctx ~check g g' =
   let dds_a = dds a and dds_b = dds b in
   List.iter (Dd.root pkg) dds_a;
   List.iter (Dd.root pkg) dds_b;
-  { pkg; n; a; b; dds_a; dds_b; check }
+  { pkg; n; prepared = p; dds_a; dds_b; check }
 
 (* One random-stimulus run: [Some fidelity] is a mismatch proof,
    [None] means the outputs agree on this input. *)
 let run_stimulus p ~seed ~index =
-  let bits = stimulus_bits ~seed ~index p.n in
-  let input () = Dd.kets_bits p.pkg p.n (fun q -> bits.(q)) in
+  let bits = stimulus_bits ~seed ~index (Flatten.width p.prepared) in
+  let wires = Flatten.wires p.prepared in
+  let input () = Dd.kets_bits p.pkg p.n (fun q -> bits.(wires.(q))) in
   let apply gs v =
     List.fold_left
       (fun acc gdd ->
@@ -61,20 +65,22 @@ let defaults ctx =
   ( Option.value (Engine.Ctx.sim_runs ctx) ~default:16,
     Option.value (Engine.Ctx.seed ctx) ~default:1 )
 
-(* Export a refuting stimulus as a standalone witness certificate: the
-   preparation circuit rebuilds the random basis state from (seed,
-   index), so the artifact replays without the RNG.  Marginal
-   refutations (fidelity within 1e-6 of 1) are not certified — the
-   validator re-checks by dense simulation under exactly that
-   threshold. *)
+(* Export a refuting stimulus as a standalone witness certificate on
+   the full-width pair: the preparation circuit rebuilds the random
+   basis state from (seed, index), so the artifact replays without the
+   RNG.  Marginal refutations (fidelity within 1e-6 of 1) are not
+   certified — the validator re-checks by dense simulation under
+   exactly that threshold. *)
 let witness_certificate p ~seed ~index ~fidelity =
-  if p.n <= Oqec_cert.Cert.max_witness_qubits && fidelity < 1.0 -. 1e-6 then begin
-    let bits = stimulus_bits ~seed ~index p.n in
-    let prep = ref (Circuit.create ~name:"stimulus" p.n) in
-    for q = 0 to p.n - 1 do
+  let width = Flatten.width p.prepared in
+  if width <= Oqec_cert.Cert.max_witness_qubits && fidelity < 1.0 -. 1e-6 then begin
+    let bits = stimulus_bits ~seed ~index width in
+    let prep = ref (Circuit.create ~name:"stimulus" width) in
+    for q = 0 to width - 1 do
       if bits.(q) then prep := Circuit.x !prep q
     done;
-    Some (Oqec_cert.Cert.Witness { a = p.a; b = p.b; index; prep = !prep; fidelity })
+    let a, b = Flatten.full p.prepared in
+    Some (Oqec_cert.Cert.Witness { a; b; index; prep = !prep; fidelity })
   end
   else None
 
@@ -93,11 +99,11 @@ let checker : Engine.checker =
   (module struct
     let name = "simulation"
 
-    let run ctx g g' =
+    let run ctx p =
       let runs, seed = defaults ctx in
       let p =
         Engine.Ctx.span ctx ~cat:"sim" "prepare" (fun () ->
-            prepare ctx ~check:(fun () -> Engine.Ctx.check ctx) g g')
+            setup ctx ~check:(fun () -> Engine.Ctx.check ctx) p)
       in
       Engine.Ctx.span ctx ~cat:"sim" "stimuli" (fun () ->
           let rec scan i =
@@ -137,7 +143,7 @@ let shard ~shard ~jobs ~best : Engine.checker =
   (module struct
     let name = Printf.sprintf "simulation-%d" shard
 
-    let run ctx g g' =
+    let run ctx p =
       let runs, seed = defaults ctx in
       (* Abandon the current stimulus as soon as its index can no
          longer be the minimal counterexample: [best] only ever
@@ -152,7 +158,7 @@ let shard ~shard ~jobs ~best : Engine.checker =
           ~cancel:(fun () -> Engine.Ctx.cancelled ctx || !current >= Atomic.get best)
           ()
       in
-      let p = prepare ctx ~check:(fun () -> Equivalence.Guard.check gd) g g' in
+      let p = setup ctx ~check:(fun () -> Equivalence.Guard.check gd) p in
       (* Lower [best] to [i] unless a smaller refutation is recorded. *)
       let rec publish i =
         let b = Atomic.get best in
@@ -200,63 +206,6 @@ let shard ~shard ~jobs ~best : Engine.checker =
       in
       verdict_of ?certificate ~outcome ~performed:!performed ~note p
   end)
-
-let check_states ?tol ?gc_threshold ?deadline ?cancel g g' =
-  let ctx = Engine.Ctx.make ?tol ?gc_threshold ?deadline ?cancel:(atomic_pred cancel) () in
-  let checker : Engine.checker =
-    (module struct
-      let name = "state-preparation"
-
-      let run ctx g g' =
-        let g, g' = Flatten.align g g' in
-        let a = Flatten.flatten g and b = Flatten.flatten g' in
-        let n = Circuit.num_qubits a in
-        let pkg =
-          Dd.create ?tol:(Engine.Ctx.tol ctx) ?gc_threshold:(Engine.Ctx.gc_threshold ctx) ()
-        in
-        Miter.hook_pkg ctx pkg;
-        let run c =
-          List.fold_left
-            (fun acc op -> Dd_circuit.apply_op_vec pkg n acc op)
-            (Dd.kets_bits pkg n (fun _ -> false))
-            (Circuit.ops c)
-        in
-        let va = Engine.Ctx.span ctx ~cat:"sim" "evolve-left" (fun () -> run a) in
-        (* Pin the first output state while the second circuit runs through
-           the package's GC safe points. *)
-        Dd.root pkg va;
-        let vb = Engine.Ctx.span ctx ~cat:"sim" "evolve-right" (fun () -> run b) in
-        (* No safe point runs from here on, so [vb] needs no root. *)
-        let fidelity = Cx.mag (Dd.inner pkg va vb) in
-        let outcome =
-          if fidelity >= 1.0 -. 1e-9 then Equivalence.Equivalent
-          else Equivalence.Not_equivalent
-        in
-        {
-          Engine.outcome;
-          peak_size = Dd.allocated pkg;
-          final_size = Dd.node_count pkg va + Dd.node_count pkg vb;
-          simulations = 1;
-          note = Printf.sprintf "(state fidelity %.9f)" fidelity;
-          dd = Some (Dd.stats pkg);
-          certificate =
-            (* The single stimulus here is |0...0>, i.e. an empty
-               preparation circuit.  Only clear refutations are
-               certified: the validator re-checks with a strictly
-               tighter threshold (1e-6) than the verdict's 1e-9. *)
-            (if
-               outcome = Equivalence.Not_equivalent
-               && n <= Oqec_cert.Cert.max_witness_qubits
-               && fidelity < 1.0 -. 1e-6
-             then
-               Some
-                 (Oqec_cert.Cert.Witness
-                    { a; b; index = 0; prep = Circuit.create ~name:"stimulus" n; fidelity })
-             else None);
-        }
-    end)
-  in
-  Engine.run ~ctx ~method_used:Equivalence.Simulation checker g g'
 
 (* ----------------------------------------------- Compatibility wrappers *)
 

@@ -11,7 +11,14 @@
     checked sequentially by {!checker} or spread over shards by
     {!shard}.  The run count and seed come from the execution context
     ({!Engine.Ctx.sim_runs}, default 16; {!Engine.Ctx.seed}, default 1);
-    every completed stimulus bumps the ["sim.stimuli"] counter. *)
+    every completed stimulus bumps the ["sim.stimuli"] counter.
+
+    The runs evolve the prepared pair's stripped circuits
+    ({!Flatten.stripped}).  Stimulus [i] on the stripped register is
+    [stimulus_bits ~seed ~index:i width] restricted to
+    {!Flatten.wires}: idle wires contribute an overlap of exactly 1, so
+    refuting indices and fidelities equal the full-width ones, and
+    witness certificates carry the full-width pair. *)
 
 open Oqec_circuit
 
@@ -32,7 +39,8 @@ val checker : Engine.checker
 val shard : shard:int -> jobs:int -> best:int Atomic.t -> Engine.checker
 
 (** [stimulus_bits ~seed ~index n] is the deterministic bit pattern of
-    stimulus [index] (exposed for the sharding determinism tests). *)
+    stimulus [index] on an [n]-wire register (exposed for the sharding
+    determinism tests). *)
 val stimulus_bits : seed:int -> index:int -> int -> bool array
 
 val check :
@@ -57,21 +65,6 @@ val check_shard :
   shard:int ->
   jobs:int ->
   best:int Atomic.t ->
-  Circuit.t ->
-  Circuit.t ->
-  Equivalence.report
-
-(** [check_states ?tol ?deadline g g'] decides whether the two circuits
-    prepare the same state from |0...0> up to global phase — a weaker
-    relation than unitary equivalence (e.g. the GHZ fan-out and chain
-    preparations agree as state preparations but not as unitaries).
-    Unlike random-stimuli checking this is a decision procedure: the two
-    output state-vector DDs are compared by exact fidelity. *)
-val check_states :
-  ?tol:float ->
-  ?gc_threshold:int ->
-  ?deadline:float ->
-  ?cancel:bool Atomic.t ->
   Circuit.t ->
   Circuit.t ->
   Equivalence.report

@@ -5,9 +5,8 @@ let checker : Engine.checker =
   (module struct
     let name = "stabilizer"
 
-    let run ctx g g' =
-      let g, g' = Flatten.align g g' in
-      let a = Flatten.flatten g and b = Flatten.flatten g' in
+    let run ctx p =
+      let a, b = Flatten.stripped p in
       let n = Circuit.num_qubits a in
       let tableau side c =
         Engine.Ctx.span ctx ~cat:"stab" ("tableau-" ^ side) (fun () ->

@@ -61,7 +61,7 @@ let checker ~scheme sa sb : Engine.checker =
   (module struct
     let name = "stream-dd"
 
-    let run ctx _ _ =
+    let run ctx _ =
       drive_header sa;
       drive_header sb;
       let n = max (Qasm_stream.num_qubits sa) (Qasm_stream.num_qubits sb) in
@@ -202,8 +202,11 @@ let checker ~scheme sa sb : Engine.checker =
   end)
 
 (* [check ... path_a path_b] streams both files through the
-   alternating miter.  The dummy circuits handed to {!Engine.run} are
-   never inspected: the checker closes over the streams instead. *)
+   alternating miter.  The dummy circuits handed to {!Engine.run} (and
+   the empty pair it prepares from them) are never inspected: the
+   checker closes over the streams instead.  Streamed pairs are not
+   stripped of idle wires: that would need a pre-pass over both files
+   before the first gate is applied. *)
 let check ?(scheme = Dd_scheme.Proportional) ?chunk_size ?tol ?gc_threshold ?deadline ?sink
     path_a path_b =
   let sa = Qasm_stream.open_file ?chunk_size path_a

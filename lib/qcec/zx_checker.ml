@@ -5,9 +5,10 @@ let checker : Engine.checker =
   (module struct
     let name = "zx-calculus"
 
-    let run ctx g g' =
-      let g, g' = Flatten.align g g' in
-      let a = Flatten.flatten g and b = Flatten.flatten g' in
+    (* The full-width pair: proof step ids and certificate bytes are
+       those of the unstripped miter. *)
+    let run ctx p =
+      let a, b = Flatten.full p in
       let diagram =
         Engine.Ctx.span ctx ~cat:"zx" "build-miter" (fun () -> Zx_circuit.of_miter a b)
       in

@@ -12,6 +12,7 @@ let () =
       ("compile", Test_compile.suite);
       ("workloads", Test_workloads.suite);
       ("qcec", Test_qcec.suite);
+      ("prepare", Test_prepare.suite);
       ("regressions", Test_regressions.suite);
       ("stab", Test_stab.suite);
       ("extract", Test_extract.suite);

@@ -270,17 +270,6 @@ let test_capacity_bounded_by_live () =
     true
     (a.Dd.a_capacity <= 8192)
 
-let test_shared_arena () =
-  let arena = Dd.create_shared ~capacity:4096 () in
-  let p1 = Dd.attach arena and p2 = Dd.attach arena in
-  let e1 = Dd.identity p1 3 and e2 = Dd.identity p2 3 in
-  (* Hash-consing is arena-wide: both handles see the same slots. *)
-  Alcotest.(check int) "same node across handles" (Dd.node_id e1) (Dd.node_id e2);
-  Alcotest.(check int) "attached handles never collect" 0 (Dd.gc p1);
-  let g1 = apply_circuit p1 (ghz 3) in
-  check_matrix_up_to_phase "shared-arena ghz" (Unitary.unitary (ghz 3))
-    (Dd_export.to_dmatrix p2 g1 ~n:3)
-
 (* ----------------------------------------------------- fuzz oracle *)
 
 let test_fuzz_oracle_arena () =
@@ -428,7 +417,6 @@ let suite =
     Alcotest.test_case "jobs independence" `Quick test_jobs_independence;
     Alcotest.test_case "rooted stable across gc" `Quick test_rooted_stable_across_gc;
     Alcotest.test_case "capacity bounded by live" `Quick test_capacity_bounded_by_live;
-    Alcotest.test_case "shared arena" `Quick test_shared_arena;
     Alcotest.test_case "fuzz oracle on arena" `Slow test_fuzz_oracle_arena;
     Alcotest.test_case "stream matches batch" `Quick test_stream_matches_batch;
     Alcotest.test_case "stream unsupported" `Quick test_stream_unsupported;

@@ -200,31 +200,6 @@ let test_timeout () =
   let r = Qcec.check ~strategy:Qcec.Alternating ~timeout:0.0 g g' in
   Alcotest.check outcome_testable "times out" Equivalence.Timed_out r.Equivalence.outcome
 
-let test_state_equivalence () =
-  (* GHZ by fan-out vs by chain: same state preparation, different
-     unitaries. *)
-  let fanout = ghz 5 in
-  let chain =
-    let c = Circuit.h (Circuit.create 5) 0 in
-    let rec go c q = if q >= 5 then c else go (Circuit.cx c (q - 1) q) (q + 1) in
-    go c 1
-  in
-  let unit_r = Qcec.check ~strategy:Qcec.Alternating fanout chain in
-  Alcotest.check outcome_testable "different unitaries" Equivalence.Not_equivalent
-    unit_r.Equivalence.outcome;
-  let st = Sim_checker.check_states fanout chain in
-  Alcotest.check outcome_testable "same state prep" Equivalence.Equivalent
-    st.Equivalence.outcome;
-  let broken = Circuit.z chain 3 in
-  let st2 = Sim_checker.check_states fanout broken in
-  Alcotest.check outcome_testable "broken state prep" Equivalence.Not_equivalent
-    st2.Equivalence.outcome;
-  let w = Oqec_workloads.Workloads.w_state 6 in
-  let w' = Compile.run (Architecture.ring 8) w in
-  let st3 = Sim_checker.check_states w w' in
-  Alcotest.check outcome_testable "compiled state prep" Equivalence.Equivalent
-    st3.Equivalence.outcome
-
 let test_approximate_check () =
   (* A tiny extra rotation: not exactly equivalent, but within fidelity
      0.999 (the approximate notion of the paper's reference [16]). *)
@@ -307,7 +282,6 @@ let suite =
     Alcotest.test_case "output permutations" `Quick test_permuted_outputs_not_equivalent;
     Alcotest.test_case "width mismatch" `Quick test_width_mismatch;
     Alcotest.test_case "timeout" `Quick test_timeout;
-    Alcotest.test_case "state-preparation equivalence" `Quick test_state_equivalence;
     Alcotest.test_case "approximate equivalence" `Quick test_approximate_check;
     Alcotest.test_case "lookahead scheme" `Quick test_lookahead_scheme;
     Alcotest.test_case "report fields" `Quick test_report_fields;
